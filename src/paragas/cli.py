@@ -25,8 +25,9 @@ from .properties import (PROPERTIES, FixtureMismatch, evaluate_cell,
                          run_fixture_suite)
 from .render import gantt_svg, gantt_text
 from .sampling import SamplerConfig
-from .scheduler import (InstanceTooLarge, SchedulerConfig, greedy_schedule,
-                        makespan, optimal_schedule, validate_schedule)
+from .scheduler import (InstanceTooLarge, InvalidSchedule, SchedulerConfig,
+                        greedy_schedule, makespan, optimal_schedule,
+                        validate_schedule)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -142,7 +143,9 @@ def cmd_schedule(args) -> int:
     else:
         schedule = greedy_schedule(txs, cfg)
     report = validate_schedule(schedule, txs, cfg)
-    assert report.valid, report.to_dict()
+    if not report.valid:
+        raise InvalidSchedule(f"computed schedule is invalid: "
+                              f"{report.to_dict()}")
     if args.format == "svg":
         print(gantt_svg(schedule))
         return EXIT_OK

@@ -219,10 +219,20 @@ _BLOCK_FIELDS = {"transactions", "weights", "default_weight"}
 _TX_FIELDS = {"id", "time", "keys"}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook that refuses a key given twice in one object."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedDocument(f"duplicate JSON key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_block(document: str) -> tuple[TxSet, WeightTable]:
     """Parse the block JSON format; enforces all transaction invariants."""
     try:
-        data = json.loads(document)
+        data = json.loads(document, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
+from typing import NamedTuple
 
 from .core import Transaction, TxSet, WeightTable
-from .scheduler import (InstanceTooLarge, SchedulerConfig, SubsetValueTable,
-                        ValueOracle, subset_value_table)
+from .scheduler import (SchedulerConfig, SubsetValueTable, ValueOracle,
+                        subset_value_table)
 
 MECHANISMS = ("current", "weighted_area", "shapley", "banzhaf",
               "banzhaf_normalized", "tpm", "esm", "xsm", "constant")
@@ -25,8 +25,6 @@ TABLE_MECHANISMS = ("current", "weighted_area", "shapley", "banzhaf",
 
 # Mechanisms whose gas for a transaction never depends on the rest of the block.
 EASY_ESTIMATION = frozenset({"current", "weighted_area", "constant"})
-
-PERMUTATION_CAP = 8
 
 
 class TxNotInSet(ValueError):
@@ -43,6 +41,10 @@ class MissingVTable(ValueError):
 
 class NormalizationUndefined(ValueError):
     pass
+
+
+class NonMonotoneValue(ValueError):
+    """A marginal contribution v(S + i) - v(S) is negative."""
 
 
 @dataclass
@@ -85,75 +87,78 @@ def gas_constant(block: TxSet, tx: Transaction, constant: Fraction) -> Fraction:
     return Fraction(constant)
 
 
-def _shapley_subset(block: TxSet, tx: Transaction,
-                    vtable: SubsetValueTable) -> Fraction:
+class BlockPrices(NamedTuple):
+    """Shapley and raw Banzhaf prices of every transaction of a block."""
+    shapley: dict
+    banzhaf: dict
+    banzhaf_total: Fraction
+
+
+def block_prices(block: TxSet, vtable: SubsetValueTable) -> BlockPrices:
+    """Prices of the whole block from one sweep over its subset table,
+    cached on the table.
+
+    For every transaction i the sweep sums the integer marginals
+    v(S + i) - v(S) over the coalitions S without i, by size |S|.  Shapley
+    weights size s by s!(n - s - 1)!/n!, Banzhaf weights every coalition by
+    1/2^(n-1); both divide by the table's scale once at the end.
+    """
+    if vtable.base != block or not vtable.full:
+        raise MissingVTable("a full subset-value table for the block is "
+                            "required")
+    if vtable.prices is not None:
+        return vtable.prices
     n = len(block)
-    others = sorted(block.ids - {tx.tx_id})
-    total = Fraction(0)
-    nfact = factorial(n)
-    for mask in range(1 << len(others)):
-        chosen = frozenset(others[i] for i in range(len(others))
-                           if mask >> i & 1)
-        marginal = vtable.value(chosen | {tx.tx_id}) - vtable.value(chosen)
-        assert marginal >= 0, "marginal contribution negative: v not monotone"
-        weight = Fraction(factorial(len(chosen))
-                          * factorial(n - len(chosen) - 1), nfact)
-        total += weight * marginal
-    return total
+    v = vtable.scaled
+    sums = [[0] * n for _ in range(n)]  # sums[i][s]: coalitions of size s
+    full = (1 << n) - 1
+    for mask in range(full + 1):
+        size = mask.bit_count()
+        here = v[mask]
+        free = full ^ mask
+        while free:
+            bit = free & -free
+            free ^= bit
+            marginal = v[mask | bit] - here
+            i = bit.bit_length() - 1
+            if marginal < 0:
+                raise NonMonotoneValue(
+                    f"marginal of {block.txs[i].tx_id!r} to a coalition of "
+                    f"{size} is negative: v is not monotone")
+            sums[i][size] += marginal
+    weights = [factorial(s) * factorial(n - s - 1) for s in range(n)]
+    shapley_den = factorial(n) * vtable.scale
+    banzhaf_den = (1 << max(n - 1, 0)) * vtable.scale
+    shapley, banzhaf = {}, {}
+    for tx, by_size in zip(block, sums):
+        shapley[tx.tx_id] = Fraction(
+            sum(w * m for w, m in zip(weights, by_size)), shapley_den)
+        banzhaf[tx.tx_id] = Fraction(sum(by_size), banzhaf_den)
+    vtable.prices = BlockPrices(
+        shapley, banzhaf, Fraction(sum(map(sum, sums)), banzhaf_den))
+    return vtable.prices
 
 
-def _shapley_permutation(block: TxSet, tx: Transaction,
-                         vtable: SubsetValueTable) -> Fraction:
-    n = len(block)
-    if n > PERMUTATION_CAP:
-        raise InstanceTooLarge(
-            f"|T| = {n} exceeds the permutation formulation cap "
-            f"{PERMUTATION_CAP}")
-    total = Fraction(0)
-    for order in permutations(sorted(block.ids)):
-        preceding = frozenset()
-        for tx_id in order:
-            if tx_id == tx.tx_id:
-                total += (vtable.value(preceding | {tx_id})
-                          - vtable.value(preceding))
-                break
-            preceding = preceding | {tx_id}
-    return total / factorial(n)
-
-
-def gas_shapley(block: TxSet, tx: Transaction, vtable: SubsetValueTable,
-                formulation: str = "subset") -> Fraction:
+def gas_shapley(block: TxSet, tx: Transaction,
+                vtable: SubsetValueTable) -> Fraction:
     _require_member(block, tx)
-    if formulation == "subset":
-        return _shapley_subset(block, tx, vtable)
-    if formulation == "permutation":
-        return _shapley_permutation(block, tx, vtable)
-    raise ValueError(f"unknown Shapley formulation {formulation!r}")
+    return block_prices(block, vtable).shapley[tx.tx_id]
 
 
 def gas_banzhaf(block: TxSet, tx: Transaction, vtable: SubsetValueTable,
                 normalized: bool = False) -> Fraction:
     _require_member(block, tx)
-    others = sorted(block.ids - {tx.tx_id})
-    total = Fraction(0)
-    for mask in range(1 << len(others)):
-        chosen = frozenset(others[i] for i in range(len(others))
-                           if mask >> i & 1)
-        marginal = vtable.value(chosen | {tx.tx_id}) - vtable.value(chosen)
-        assert marginal >= 0, "marginal contribution negative: v not monotone"
-        total += marginal
-    raw = total / 2 ** (len(block) - 1)
+    prices = block_prices(block, vtable)
+    raw = prices.banzhaf[tx.tx_id]
     if not normalized:
         return raw
-    raw_total = sum((gas_banzhaf(block, other, vtable) for other in block),
-                    Fraction(0))
     v_block = vtable.value(block.ids)
-    if raw_total == 0:
+    if prices.banzhaf_total == 0:
         if v_block == 0:
             return raw
         raise NormalizationUndefined(
             "raw Banzhaf total is 0 but v(T) > 0")
-    return raw * v_block / raw_total
+    return raw * v_block / prices.banzhaf_total
 
 
 def gas_tpm(block: TxSet, tx: Transaction, v_block: Fraction) -> Fraction:
@@ -230,14 +235,12 @@ class PricingEnv:
     def vtable_for(self, block: TxSet, full: bool) -> SubsetValueTable:
         # TPM/ESM/XSM only read v(T); skip the 2^|T| table for them.
         cached = self._vtables.get(block)
-        if cached is not None and (not full
-                                   or len(cached.values) == 2 ** len(block)):
+        if cached is not None and (not full or cached.full):
             return cached
         if full:
-            vtable = subset_value_table(block, self.scheduler_cfg, self.oracle)
+            vtable = subset_value_table(block, self.scheduler_cfg)
         else:
-            vtable = SubsetValueTable(block,
-                                      {block.ids: self.oracle.value(block)})
+            vtable = SubsetValueTable.whole(block, self.oracle.value(block))
         if len(self._vtables) > 4096:  # blocks rarely repeat across trials
             self._vtables.clear()
         self._vtables[block] = vtable
@@ -261,4 +264,7 @@ class PricingEnv:
                          self.context_for(block, mechanism))
 
     def value(self, block: TxSet) -> Fraction:
+        cached = self._vtables.get(block)
+        if cached is not None:
+            return cached.value(block.ids)
         return self.oracle.value(block)

@@ -5,8 +5,11 @@ rational positions but never feeds back into any computed number.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 
 from .scheduler import Schedule, makespan
+
+MAX_TICKS = 50  # time-axis ticks in an SVG, whatever the makespan
 
 _PALETTE = ("#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
             "#edc948", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac")
@@ -49,6 +52,11 @@ def gantt_text(schedule: Schedule, width: int = 60) -> str:
     return "\n".join(lines)
 
 
+def _escape(text: str) -> str:
+    """Text as XML character data (ids and keys are arbitrary strings)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def gantt_svg(schedule: Schedule, px_per_unit: int = 48,
               row_height: int = 28) -> str:
     span = makespan(schedule)
@@ -66,7 +74,8 @@ def gantt_svg(schedule: Schedule, px_per_unit: int = 48,
     ]
     for r, (key, segs) in enumerate(rows):
         y = 24 + r * row_height
-        parts.append(f'<text x="4" y="{y + row_height * 2 // 3}">{key}</text>')
+        parts.append(f'<text x="4" y="{y + row_height * 2 // 3}">'
+                     f'{_escape(key)}</text>')
         parts.append(f'<line x1="{label_w}" y1="{y + row_height}" '
                      f'x2="{label_w + chart_w}" y2="{y + row_height}" '
                      f'stroke="#ddd"/>')
@@ -76,19 +85,19 @@ def gantt_svg(schedule: Schedule, px_per_unit: int = 48,
             parts.append(
                 f'<rect x="{x:.2f}" y="{y + 3}" width="{w:.2f}" '
                 f'height="{row_height - 6}" fill="{colors[tx_id]}" '
-                f'stroke="#333"><title>{tx_id}: [{start}, {end})</title>'
-                f'</rect>')
+                f'stroke="#333"><title>{_escape(tx_id)}: [{start}, {end})'
+                f'</title></rect>')
             parts.append(f'<text x="{x + 3:.2f}" '
                          f'y="{y + row_height * 2 // 3}" '
-                         f'fill="#fff">{tx_id}</text>')
-    # integer time ticks
+                         f'fill="#fff">{_escape(tx_id)}</text>')
+    # integer time ticks: one per unit, or a whole step of several units that
+    # keeps them to about MAX_TICKS
     axis_y = 24 + len(rows) * row_height
-    tick = 0
-    while tick <= float(span):
+    step = max(1, -(-floor(span) // MAX_TICKS))
+    for tick in range(0, floor(span) + 1, step):
         x = label_w + tick * px_per_unit
         parts.append(f'<line x1="{x}" y1="24" x2="{x}" y2="{axis_y}" '
                      f'stroke="#eee"/>')
         parts.append(f'<text x="{x - 3}" y="{axis_y + 16}">{tick}</text>')
-        tick += 1
     parts.append('</svg>')
     return "\n".join(parts)

@@ -2,10 +2,14 @@
 
 The makespan oracle here enumerates every active schedule with no pruning,
 no bounds and no greedy incumbent, so it shares no shortcuts with the
-library's branch-and-bound search.
+library's branch-and-bound search.  The pricing oracles compute one
+transaction at a time straight from the definitions, reading v(S) through
+``SubsetValueTable.value`` in exact rationals, where the library prices a
+whole block in one integer sweep.
 """
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial
 
 from paragas import TxSet
 
@@ -58,3 +62,47 @@ def exhaustive_makespan(txs: TxSet, threads) -> Fraction:
 
     explore(Fraction(0), [], txs)
     return best[0]
+
+
+def _coalitions(block, tx):
+    """Every subset of the block without ``tx``, as frozensets of ids."""
+    others = sorted(block.ids - {tx.tx_id})
+    for mask in range(1 << len(others)):
+        yield frozenset(others[i] for i in range(len(others))
+                        if mask >> i & 1)
+
+
+def shapley_subset(block, tx, vtable) -> Fraction:
+    """Shapley value as the size-weighted sum of marginals over coalitions."""
+    n = len(block)
+    total = Fraction(0)
+    for chosen in _coalitions(block, tx):
+        marginal = vtable.value(chosen | {tx.tx_id}) - vtable.value(chosen)
+        total += Fraction(factorial(len(chosen))
+                          * factorial(n - len(chosen) - 1),
+                          factorial(n)) * marginal
+    return total
+
+
+def shapley_permutation(block, tx, vtable) -> Fraction:
+    """Shapley value as the mean marginal over all n! arrival orders."""
+    total = Fraction(0)
+    for order in permutations(sorted(block.ids)):
+        preceding = frozenset(order[:order.index(tx.tx_id)])
+        total += (vtable.value(preceding | {tx.tx_id})
+                  - vtable.value(preceding))
+    return total / factorial(len(block))
+
+
+def banzhaf(block, tx, vtable, normalized=False) -> Fraction:
+    """Raw Banzhaf value (mean marginal over coalitions), or its share of
+    v(T) scaled so the block's prices sum to v(T)."""
+    raw = sum((vtable.value(chosen | {tx.tx_id}) - vtable.value(chosen)
+               for chosen in _coalitions(block, tx)), Fraction(0)) \
+        / 2 ** (len(block) - 1)
+    if not normalized:
+        return raw
+    raw_total = sum((banzhaf(block, other, vtable) for other in block),
+                    Fraction(0))
+    v_block = vtable.value(block.ids)
+    return raw if raw_total == 0 else raw * v_block / raw_total

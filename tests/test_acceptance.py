@@ -20,6 +20,8 @@ from paragas.gcm import EASY_ESTIMATION, gas_shapley
 from paragas.properties import VIOLATED
 from paragas.sampling import rng_for, sample_transaction, sample_txset
 
+from exhaustive import shapley_permutation
+
 N2 = SchedulerConfig(threads=2)
 N3 = SchedulerConfig(threads=3)
 
@@ -138,8 +140,8 @@ def test_acceptance_5_shapley_internal_oracle():
         gases = {}
         forms_agree = True
         for t in block:
-            sub = gas_shapley(block, t, table, "subset")
-            perm = gas_shapley(block, t, table, "permutation")
+            sub = gas_shapley(block, t, table)
+            perm = shapley_permutation(block, t, table)
             forms_agree &= sub == perm
             gases[t.tx_id] = sub
         equal += forms_agree

@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from paragas import Schedule, cli
 from paragas.cli import main
+from paragas.scheduler import InvalidSchedule
 
 
 @pytest.fixture
@@ -155,6 +158,24 @@ def test_malformed_block_is_usage_error(tmp_path, capsys):
     code, out = run(capsys, ["gas", str(bad)])
     assert code == 2
     assert "error:" in out.err
+
+
+def test_duplicate_json_key_in_block_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "dup.json"
+    bad.write_text('{"transactions": [{"id": "a", "time": 1, '
+                   '"keys": ["k1"], "id": "b"}]}')
+    code, out = run(capsys, ["schedule", str(bad)])
+    assert code == 2
+    assert "duplicate JSON key 'id'" in out.err
+
+
+def test_invalid_computed_schedule_is_a_typed_error(four_tx_block,
+                                                    monkeypatch):
+    def overlapping(txs, cfg):
+        return Schedule(txs, {tx.tx_id: Fraction(0) for tx in txs})
+    monkeypatch.setattr(cli, "optimal_schedule", overlapping)
+    with pytest.raises(InvalidSchedule, match="conflict-overlap"):
+        main(["schedule", four_tx_block])
 
 
 def test_missing_subcommand_is_usage_error(capsys):

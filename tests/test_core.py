@@ -126,6 +126,16 @@ def test_parse_block_rejects_malformed(doc):
         parse_block(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    '{"transactions": [], "transactions": []}',
+    '{"transactions": [{"id": "a", "time": 1, "time": 2, "keys": ["k1"]}]}',
+    '{"transactions": [], "weights": {"k1": 1, "k1": 2}}',
+])
+def test_parse_block_rejects_duplicate_json_keys(doc):
+    with pytest.raises(MalformedDocument, match="duplicate"):
+        parse_block(doc)
+
+
 def test_transaction_identity_is_the_id():
     a1 = Transaction("a", Fraction(1), frozenset({"k1"}))
     a2 = Transaction("a", Fraction(1), frozenset({"k1"}))

@@ -5,8 +5,13 @@ import pytest
 from paragas import (GcmContext, PricingEnv, SchedulerConfig, TxSet,
                      WeightTable, gas, make_transaction, price_block,
                      subset_value_table)
-from paragas.gcm import MissingVTable, TxNotInSet, gas_shapley
+from paragas.core import Transaction
+from paragas.gcm import (MissingVTable, NonMonotoneValue, TxNotInSet,
+                         gas_banzhaf, gas_shapley)
 from paragas.sampling import SamplerConfig, rng_for, sample_txset
+from paragas.scheduler import SubsetValueTable
+
+from exhaustive import banzhaf, shapley_permutation, shapley_subset
 
 N2 = SchedulerConfig(threads=2)
 
@@ -73,8 +78,41 @@ def test_shapley_permutation_equals_subset_form():
         block = sample_txset(rng, cfg, rng.randint(1, 5))
         table = subset_value_table(block, N2)
         for t in block:
-            assert gas_shapley(block, t, table, "subset") == \
-                gas_shapley(block, t, table, "permutation")
+            assert gas_shapley(block, t, table) == \
+                shapley_subset(block, t, table) == \
+                shapley_permutation(block, t, table)
+
+
+def fractional_block(rng, cfg, size, den):
+    """A sampled block whose times are the sampled integers over ``den``."""
+    return TxSet(Transaction(t.tx_id, t.time / den, t.keys)
+                 for t in sample_txset(rng, cfg, size))
+
+
+def test_one_sweep_prices_equal_per_transaction_oracles():
+    cfg = SamplerConfig(seed=41, key_pool=4, time_range=(1, 6))
+    for i in range(36):
+        rng = rng_for(cfg, "sweep-vs-oracle", i)
+        den = (1, 2, 3)[i % 3]
+        threads = (2, 3, None)[i // 3 % 3]
+        block = fractional_block(rng, cfg, rng.randint(1, 6), den)
+        table = subset_value_table(block, SchedulerConfig(threads=threads))
+        for t in block:
+            assert gas_shapley(block, t, table) == \
+                shapley_subset(block, t, table), (i, t)
+            assert gas_banzhaf(block, t, table) == \
+                banzhaf(block, t, table), (i, t)
+            assert gas_banzhaf(block, t, table, normalized=True) == \
+                banzhaf(block, t, table, normalized=True), (i, t)
+
+
+def test_negative_marginal_is_a_typed_error():
+    block = TxSet([tx("a", 1, ["k1"]), tx("b", 1, ["k1"])])
+    # v({a}) = 3 > v({a, b}) = 2: not monotone.
+    table = SubsetValueTable(block, 1, {0: 0, 1: 3, 2: 1, 3: 2})
+    for mech in ("shapley", "banzhaf", "banzhaf_normalized"):
+        with pytest.raises(NonMonotoneValue):
+            gas(block, block.get("b"), mech, GcmContext(vtable=table))
 
 
 def test_shapley_efficiency():

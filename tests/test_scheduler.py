@@ -133,6 +133,21 @@ def test_subset_value_table_three_txs():
                 assert v <= w
 
 
+def test_every_table_entry_matches_exhaustive_search():
+    cfg = SamplerConfig(seed=43, key_pool=4, time_range=(1, 6))
+    for i in range(18):
+        rng = rng_for(cfg, "table-vs-exhaustive", i)
+        den = (1, 2, 3)[i % 3]
+        threads = (2, 3, None)[i // 3 % 3]
+        block = TxSet(make_transaction(t.tx_id, t.time / den, t.keys)
+                      for t in sample_txset(rng, cfg, rng.randint(1, 6)))
+        table = subset_value_table(block, SchedulerConfig(threads=threads))
+        assert len(table.values) == 2 ** len(block)
+        for ids, v in table.values.items():
+            assert v == exhaustive_makespan(block.subset(ids), threads), \
+                (i, threads, sorted(ids))
+
+
 def test_exact_matches_unpruned_exhaustive_search():
     cfg = SamplerConfig(seed=11, max_txs=5, key_pool=4)
     for i in range(60):
