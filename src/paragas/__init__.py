@@ -12,14 +12,14 @@ from .core import (BlockError, DuplicateId, EmptyKeySet, MalformedDocument,
 from .feemarket import (BaseFeeState, Bid, BlockResult, SimulationReport,
                         WorkloadConfig, base_fee_update, build_block,
                         make_bid, simulate, workload)
-from .gcm import (EASY_ESTIMATION, MECHANISMS, TABLE_MECHANISMS, GcmContext,
-                  PricingEnv, block_gas, gas, price_block)
-from .properties import (PROPERTIES, CheckOutcome, FixtureMismatch,
+from .gcm import (EASY_ESTIMATION, MECHANISMS, TABLE_MECHANISMS, PricingEnv,
+                  gas)
+from .properties import (PROPERTIES, REGISTRY, CheckOutcome, FixtureMismatch,
                          MatrixMismatch, MatrixReport, check_lemma_consistency,
-                         check_property, known_violations,
-                         load_expected_matrix, property_matrix,
-                         render_matrix_text, run_fixture_suite,
-                         search_counterexample)
+                         check_property, env_pool, evaluate_cell,
+                         known_violations, load_expected_matrix,
+                         property_matrix, render_matrix_text,
+                         run_fixture_suite)
 from .render import gantt_svg, gantt_text
 from .sampling import SamplerConfig
 from .scheduler import (UNBOUNDED, InstanceTooLarge, Schedule,

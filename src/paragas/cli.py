@@ -14,14 +14,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .core import (BlockError, WeightTable, format_rational, parse_block,
                    to_rational)
 from .feemarket import BaseFeeState, WorkloadConfig, simulate, workload
 from .gcm import MECHANISMS, TABLE_MECHANISMS, PricingEnv
-from .properties import (PROPERTIES, FixtureMismatch, evaluate_cell,
-                         known_violations, load_expected_matrix,
+from .properties import (PROPERTIES, FixtureMismatch, property_matrix,
                          run_fixture_suite)
 from .render import gantt_svg, gantt_text
 from .sampling import SamplerConfig
@@ -40,17 +40,28 @@ class UsageError(Exception):
     pass
 
 
+def _int_at_least(low: int):
+    def parse(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {value!r}")
+        return n
+    return parse
+
+
 def _threads(value: str):
-    if value == "unbounded":
-        return None
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--threads must be an integer >= 2 or 'unbounded', got {value!r}")
-    if n < 2:
-        raise argparse.ArgumentTypeError("--threads must be >= 2")
-    return n
+    return None if value == "unbounded" else _int_at_least(2)(value)
+
+
+def _positive_rational(flag: str, value: str) -> Fraction:
+    q = to_rational(value)
+    if q <= 0:
+        raise UsageError(f"{flag} must be > 0, got {value!r}")
+    return q
 
 
 def _scheduler_cfg(threads) -> SchedulerConfig:
@@ -67,25 +78,26 @@ def _scheduler_cfg(threads) -> SchedulerConfig:
     return SchedulerConfig(threads=threads, instance_cap=cap_n)
 
 
-def _load_block(path: str):
+def _read(path: str, what: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_block(fh.read())
-    except OSError as exc:
-        raise UsageError(f"cannot read block file: {exc}")
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {what}: {exc}")
 
 
 def _load_weights(path: str | None, fallback: WeightTable) -> WeightTable:
     if path is None:
         return fallback
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(_read(path, "weights file"))
+    except ValueError as exc:  # also integers too long to convert
         raise UsageError(f"cannot read weights file: {exc}")
     if not isinstance(data, dict):
         raise UsageError("weights file must be a JSON object")
     if set(data) <= {"weights", "default_weight"}:
+        if not isinstance(data.get("weights", {}), dict):
+            raise UsageError('"weights" must be a JSON object')
         return WeightTable(weights=data.get("weights", {}),
                            default_weight=to_rational(
                                data.get("default_weight", 1)))
@@ -101,7 +113,7 @@ def _threads_label(threads) -> str:
 
 
 def cmd_gas(args) -> int:
-    txs, file_weights = _load_block(args.block)
+    txs, file_weights = parse_block(_read(args.block, "block file"))
     weights = _load_weights(args.weights, file_weights)
     cfg = _scheduler_cfg(args.threads)
     env = PricingEnv(weights=weights, scheduler_cfg=cfg)
@@ -136,7 +148,7 @@ def cmd_gas(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    txs, _ = _load_block(args.block)
+    txs, _ = parse_block(_read(args.block, "block file"))
     cfg = _scheduler_cfg(args.threads)
     if args.mode == "exact":
         schedule = optimal_schedule(txs, cfg)
@@ -172,39 +184,28 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_check(args) -> int:
-    mechs = TABLE_MECHANISMS if args.mech in (None, "all") else (args.mech,)
-    props = PROPERTIES if args.prop in (None, "all") else (args.prop,)
-    for mech in mechs:
-        if mech not in TABLE_MECHANISMS:
-            raise UsageError(
-                f"mechanism {args.mech!r} is not in the comparison matrix")
-    for prop in props:
-        if prop not in PROPERTIES:
-            raise UsageError(f"unknown property {args.prop!r}")
-    sampler = SamplerConfig(seed=args.seed)
-    envs = {n: PricingEnv(scheduler_cfg=SchedulerConfig(threads=n))
-            for n in sampler.threads}
-    known = known_violations()
-    expected = load_expected_matrix()["rows"]
+    if args.mech not in ("all", *TABLE_MECHANISMS):
+        raise UsageError(
+            f"mechanism {args.mech!r} is not in the comparison matrix")
+    if args.prop not in ("all", *PROPERTIES):
+        raise UsageError(f"unknown property {args.prop!r}")
+    mechs = TABLE_MECHANISMS if args.mech == "all" else (args.mech,)
+    props = PROPERTIES if args.prop == "all" else (args.prop,)
     failures = []
-
     fixture_count = 0
     for mech in mechs:
         try:
             fixture_count += len(run_fixture_suite(mech))
         except FixtureMismatch as exc:
             failures.append(f"fixture mismatch ({mech}): {exc}")
-
-    cells = {}
-    for mech in mechs:
-        for prop in props:
-            cell = evaluate_cell(prop, mech, sampler, args.budget, envs, known)
-            cells[f"{mech}/{prop}"] = cell
-            want = expected[mech][prop]
-            if cell.symbol != want:
-                failures.append(f"matrix mismatch {mech}/{prop}: computed "
-                                f"{cell.symbol}, expected {want}")
-
+    report = property_matrix(mechs, SamplerConfig(seed=args.seed),
+                             args.budget, props)
+    failures += [f"matrix mismatch {mech}/{prop}: computed {got}, "
+                 f"expected {want}" for mech, prop, got, want
+                 in report.mismatches]
+    sampler = report.sampler
+    cells = {f"{mech}/{prop}": cell
+             for (mech, prop), cell in report.cells.items()}
     doc = {
         "config": {"mechanisms": list(mechs), "properties": list(props),
                    "seed": args.seed, "budget": args.budget,
@@ -241,21 +242,21 @@ def cmd_check(args) -> int:
 def cmd_simulate(args) -> int:
     if args.workload is not None:
         try:
-            with open(args.workload, encoding="utf-8") as fh:
-                wl_cfg = WorkloadConfig.from_json(fh.read())
-        except (OSError, json.JSONDecodeError, TypeError, BlockError) as exc:
+            wl_cfg = WorkloadConfig.from_json(
+                _read(args.workload, "workload config"))
+        except BlockError as exc:
             raise UsageError(f"cannot read workload config: {exc}")
         if args.seed is not None:
-            wl_cfg = WorkloadConfig.from_dict(
-                {**wl_cfg.__dict__, "seed": args.seed})
+            wl_cfg = replace(wl_cfg, seed=args.seed)
     else:
         wl_cfg = WorkloadConfig(seed=args.seed or 0)
     cfg = _scheduler_cfg(args.threads)
     env = PricingEnv(scheduler_cfg=cfg)
-    state0 = BaseFeeState(base_fee=to_rational(args.base_fee),
-                          target_gas=to_rational(args.target),
-                          adjustment_denominator=args.denominator)
-    gas_limit = to_rational(args.gas_limit)
+    state0 = BaseFeeState(
+        base_fee=_positive_rational("--base-fee", args.base_fee),
+        target_gas=_positive_rational("--target", args.target),
+        adjustment_denominator=args.denominator)
+    gas_limit = _positive_rational("--gas-limit", args.gas_limit)
     stream = workload(wl_cfg, args.blocks, args.mech, env)
     report = simulate(stream, args.blocks, args.mech, env, state0, gas_limit)
     if args.format == "json":
@@ -316,21 +317,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--mech", default="all")
     p_check.add_argument("--prop", default="all")
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--budget", type=int, default=2000)
+    p_check.add_argument("--budget", type=_int_at_least(1), default=2000)
     p_check.add_argument("--format", default="text",
                          choices=("json", "text"))
     p_check.set_defaults(fn=cmd_check)
 
     p_sim = sub.add_parser("simulate", help="run a fee-market simulation")
     p_sim.add_argument("--mech", default="current", choices=MECHANISMS)
-    p_sim.add_argument("--blocks", type=int, default=100)
+    p_sim.add_argument("--blocks", type=_int_at_least(1), default=100)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--workload", default=None,
                        help="workload config JSON file")
     p_sim.add_argument("--gas-limit", default="20")
     p_sim.add_argument("--target", default="10")
     p_sim.add_argument("--base-fee", default="1")
-    p_sim.add_argument("--denominator", type=int, default=8)
+    p_sim.add_argument("--denominator", type=_int_at_least(1), default=8)
     p_sim.add_argument("--threads", type=_threads, default=2,
                        metavar="N|unbounded")
     p_sim.add_argument("--format", default="csv", choices=("csv", "json"))
@@ -346,7 +347,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.fn(args)
-    except (UsageError, BlockError, InstanceTooLarge, ValueError) as exc:
+    except (UsageError, BlockError, InstanceTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -47,9 +47,11 @@ def to_rational(value: int | str | Fraction) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         m = _RATIONAL_RE.match(value.strip())
-        if m is None or m.group(2) == "0":
-            raise MalformedDocument(f"not a rational: {value!r}")
-        return Fraction(int(m.group(1)), int(m.group(2) or 1))
+        if m is not None and m.group(2) != "0":
+            try:
+                return Fraction(int(m.group(1)), int(m.group(2) or 1))
+            except ValueError:  # more digits than int() converts
+                pass
     raise MalformedDocument(f"not a rational: {value!r}")
 
 
@@ -233,7 +235,9 @@ def parse_block(document: str) -> tuple[TxSet, WeightTable]:
     """Parse the block JSON format; enforces all transaction invariants."""
     try:
         data = json.loads(document, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except MalformedDocument:  # a duplicate key
+        raise
+    except ValueError as exc:  # also integers too long to convert
         raise MalformedDocument(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedDocument("block document must be a JSON object")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from .core import MalformedDocument, Transaction, TxSet, format_rational, to_rational
@@ -103,8 +103,22 @@ def build_block(mempool: list, gas_limit: Fraction, mech: str,
 # Seeded workload generation and simulation
 
 
+def _is_int(value, low: int | None = None) -> bool:
+    return type(value) is int and (low is None or value >= low)
+
+
+def _is_int_range(value, low: int) -> bool:
+    """Whether ``value`` is a pair of integers lo <= hi with lo >= low."""
+    return (isinstance(value, tuple) and len(value) == 2
+            and _is_int(value[0], low) and _is_int(value[1], value[0]))
+
+
 @dataclass(frozen=True)
 class WorkloadConfig:
+    """Bid stream parameters: integer counts >= 1, at most ``key_pool``
+    keys per transaction, integer ranges of times (lo >= 1) and of price
+    numerators (lo >= 0)."""
+
     seed: int = 0
     bids_per_block: int = 8
     time_range: tuple[int, int] = (1, 4)
@@ -113,23 +127,43 @@ class WorkloadConfig:
     price_range: tuple[int, int] = (1, 4)  # numerators over price_denominator
     price_denominator: int = 2
 
+    def __post_init__(self):
+        checks = {
+            "seed": _is_int(self.seed),
+            "bids_per_block": _is_int(self.bids_per_block, 1),
+            "time_range": _is_int_range(self.time_range, 1),
+            "key_pool": _is_int(self.key_pool, 1),
+            "max_keys_per_tx": _is_int(self.max_keys_per_tx, 1)
+            and _is_int(self.key_pool, self.max_keys_per_tx),
+            "price_range": _is_int_range(self.price_range, 0),
+            "price_denominator": _is_int(self.price_denominator, 1),
+        }
+        bad = [f"{name}={getattr(self, name)!r}"
+               for name, ok in checks.items() if not ok]
+        if bad:
+            raise MalformedDocument(f"bad workload fields: {', '.join(bad)}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadConfig":
-        known = {"seed", "bids_per_block", "time_range", "key_pool",
-                 "max_keys_per_tx", "price_range", "price_denominator"}
-        extra = set(data) - known
+        if not isinstance(data, dict):
+            raise MalformedDocument("workload config must be a JSON object")
+        extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise MalformedDocument(
                 f"unknown workload fields: {sorted(extra)}")
         kwargs = dict(data)
-        for f in ("time_range", "price_range"):
-            if f in kwargs:
-                kwargs[f] = tuple(kwargs[f])
+        for name in ("time_range", "price_range"):
+            if isinstance(kwargs.get(name), list):
+                kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "WorkloadConfig":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:  # also integers too long to convert
+            raise MalformedDocument(f"invalid JSON: {exc}") from exc
+        return cls.from_dict(data)
 
 
 def workload(cfg: WorkloadConfig, blocks: int, mech: str, env: PricingEnv):

@@ -1,13 +1,14 @@
 """Gas computation mechanisms behind one uniform interface.
 
-``gas(block, tx, mechanism, ctx)`` returns the exact rational amount of gas
-charged to ``tx`` when the block ``block`` is executed.  Mechanisms that are
-independent of the rest of the block (current, weighted area, constant)
-ignore the subset-value table; the others require it.
+``gas(block, tx, mechanism, env)`` returns the exact rational amount of gas
+charged to ``tx`` when the block ``block`` is executed.  The ``PricingEnv``
+holds everything a mechanism reads besides the block: the key weights, the
+constant, the scheduler config and the block's subset-value table, which
+mechanisms that are independent of the rest of the block (current, weighted
+area, constant) never build.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
@@ -47,24 +48,9 @@ class NonMonotoneValue(ValueError):
     """A marginal contribution v(S + i) - v(S) is negative."""
 
 
-@dataclass
-class GcmContext:
-    weights: WeightTable = field(default_factory=WeightTable)
-    scheduler_cfg: SchedulerConfig = field(default_factory=SchedulerConfig)
-    vtable: SubsetValueTable | None = None
-    constant: Fraction = Fraction(1)
-    include_current_term: bool = True  # the "+1" term of the weighted area formula
-
-
 def _require_member(block: TxSet, tx: Transaction) -> None:
     if tx.tx_id not in block or block.get(tx.tx_id) != tx:
         raise TxNotInSet(f"transaction {tx.tx_id!r} is not in the block")
-
-
-def _require_vtable(block: TxSet, ctx: GcmContext) -> SubsetValueTable:
-    if ctx.vtable is None or ctx.vtable.base != block:
-        raise MissingVTable("a subset-value table for the block is required")
-    return ctx.vtable
 
 
 def gas_current(block: TxSet, tx: Transaction) -> Fraction:
@@ -72,12 +58,10 @@ def gas_current(block: TxSet, tx: Transaction) -> Fraction:
     return tx.time
 
 
-def gas_weighted_area(block: TxSet, tx: Transaction, weights: WeightTable,
-                      include_current_term: bool = True) -> Fraction:
+def gas_weighted_area(block: TxSet, tx: Transaction,
+                      weights: WeightTable) -> Fraction:
     _require_member(block, tx)
-    area = sum((weights.get(k) for k in tx.keys), Fraction(0))
-    base = Fraction(1) if include_current_term else Fraction(0)
-    return tx.time * (base + area)
+    return tx.time * sum((weights.get(k) for k in tx.keys), Fraction(1))
 
 
 def gas_constant(block: TxSet, tx: Transaction, constant: Fraction) -> Fraction:
@@ -177,22 +161,19 @@ def gas_xsm(block: TxSet, tx: Transaction, v_block: Fraction) -> Fraction:
 
 
 def gas(block: TxSet, tx: Transaction, mechanism: str,
-        ctx: GcmContext) -> Fraction:
+        env: PricingEnv) -> Fraction:
     if mechanism == "current":
         return gas_current(block, tx)
     if mechanism == "weighted_area":
-        return gas_weighted_area(block, tx, ctx.weights,
-                                 ctx.include_current_term)
+        return gas_weighted_area(block, tx, env.weights)
     if mechanism == "constant":
-        return gas_constant(block, tx, ctx.constant)
-    vtable = _require_vtable(block, ctx)
+        return gas_constant(block, tx, env.constant)
     if mechanism == "shapley":
-        return gas_shapley(block, tx, vtable)
-    if mechanism == "banzhaf":
-        return gas_banzhaf(block, tx, vtable)
-    if mechanism == "banzhaf_normalized":
-        return gas_banzhaf(block, tx, vtable, normalized=True)
-    v_block = vtable.value(block.ids)
+        return gas_shapley(block, tx, env.vtable_for(block, full=True))
+    if mechanism in ("banzhaf", "banzhaf_normalized"):
+        return gas_banzhaf(block, tx, env.vtable_for(block, full=True),
+                           normalized=mechanism == "banzhaf_normalized")
+    v_block = env.vtable_for(block, full=False).value(block.ids)
     if mechanism == "tpm":
         return gas_tpm(block, tx, v_block)
     if mechanism == "esm":
@@ -202,26 +183,11 @@ def gas(block: TxSet, tx: Transaction, mechanism: str,
     raise ValueError(f"unknown mechanism {mechanism!r}")
 
 
-def price_block(block: TxSet, mechanism: str,
-                ctx: GcmContext) -> dict[str, Fraction]:
-    """Per-transaction gas for a whole block."""
-    return {tx.tx_id: gas(block, tx, mechanism, ctx) for tx in block}
-
-
-def block_gas(block: TxSet, subset: TxSet, mechanism: str,
-              ctx: GcmContext) -> Fraction:
-    """Total gas of the transactions in ``subset`` within block ``block``."""
-    for tx in subset:
-        if tx.tx_id not in block or block.get(tx.tx_id) != tx:
-            raise SubsetNotContained(
-                f"transaction {tx.tx_id!r} is not in the block")
-    return sum((gas(block, tx, mechanism, ctx) for tx in subset), Fraction(0))
-
-
 class PricingEnv:
-    """Shared pricing environment: weights, scheduler config and a makespan
-    oracle reused across many blocks (property checks price thousands of
-    closely related blocks)."""
+    """The pricing environment: weights, the constant, the scheduler config,
+    a makespan oracle and the blocks' subset-value tables, reused across
+    many blocks (property checks price thousands of closely related
+    blocks)."""
 
     def __init__(self, weights: WeightTable | None = None,
                  scheduler_cfg: SchedulerConfig | None = None,
@@ -246,22 +212,18 @@ class PricingEnv:
         self._vtables[block] = vtable
         return vtable
 
-    def context_for(self, block: TxSet, mechanism: str) -> GcmContext:
-        vtable = None
-        if mechanism not in EASY_ESTIMATION:
-            full = mechanism in ("shapley", "banzhaf", "banzhaf_normalized")
-            vtable = self.vtable_for(block, full)
-        return GcmContext(weights=self.weights,
-                          scheduler_cfg=self.scheduler_cfg,
-                          vtable=vtable, constant=self.constant)
-
     def gas(self, block: TxSet, tx: Transaction, mechanism: str) -> Fraction:
-        return gas(block, tx, mechanism, self.context_for(block, mechanism))
+        return gas(block, tx, mechanism, self)
 
     def block_gas(self, block: TxSet, subset: TxSet,
                   mechanism: str) -> Fraction:
-        return block_gas(block, subset, mechanism,
-                         self.context_for(block, mechanism))
+        """Total gas of the transactions in ``subset`` within ``block``."""
+        for tx in subset:
+            if tx.tx_id not in block or block.get(tx.tx_id) != tx:
+                raise SubsetNotContained(
+                    f"transaction {tx.tx_id!r} is not in the block")
+        return sum((gas(block, tx, mechanism, self) for tx in subset),
+                   Fraction(0))
 
     def value(self, block: TxSet) -> Fraction:
         cached = self._vtables.get(block)

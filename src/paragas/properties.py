@@ -10,28 +10,17 @@ witness.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable
+from typing import Callable, Iterable, get_type_hints
 
-from .core import (Transaction, TxSet, concatenate, format_rational, similar,
-                   to_rational)
+from .core import (MalformedDocument, Transaction, TxSet, concatenate,
+                   format_rational, make_transaction, similar)
 from .gcm import TABLE_MECHANISMS, PricingEnv
 from .sampling import (SamplerConfig, rng_for, sample_keys, sample_time,
                        sample_transaction, sample_txset)
 from .scheduler import SchedulerConfig
-
-PROPERTIES = (
-    "key_monotonicity",         # P1
-    "time_monotonicity",        # P2
-    "key_time_monotonicity",    # P3
-    "set_inclusion",            # P4
-    "bundling",                 # P5
-    "scheduling_monotonicity",  # P6
-    "efficiency",               # P7
-    "easy_gas_estimation",      # P8
-)
 
 VIOLATED = "violated"
 HOLDS_EQUAL = "holds_with_equality"
@@ -103,109 +92,101 @@ def _tx_obj(tx: Transaction) -> dict:
             "keys": sorted(tx.keys)}
 
 
-def _txset_obj(txs: TxSet) -> list:
-    return [_tx_obj(tx) for tx in txs]
+def _tx_from(obj) -> Transaction:
+    if not (isinstance(obj, dict) and set(obj) == {"id", "time", "keys"}
+            and isinstance(obj["keys"], list)):
+        raise MalformedDocument(f"bad transaction in witness: {obj!r}")
+    return make_transaction(obj["id"], obj["time"], obj["keys"])
 
 
-def _tx_from(obj: dict) -> Transaction:
-    return Transaction(obj["id"], to_rational(obj["time"]),
-                       frozenset(obj["keys"]))
+def _txset_from(objs) -> TxSet:
+    if not isinstance(objs, list):
+        raise MalformedDocument(f"bad transaction set in witness: {objs!r}")
+    return TxSet(_tx_from(obj) for obj in objs)
 
 
-def _txset_from(objs: Iterable[dict]) -> TxSet:
-    return TxSet(_tx_from(o) for o in objs)
+_FROM_JSON = {TxSet: _txset_from, Transaction: _tx_from}
+
+
+def _to_json(value) -> list | dict:
+    if isinstance(value, TxSet):
+        return [_tx_obj(tx) for tx in value]
+    return _tx_obj(value)
 
 
 def instance_to_dict(instance) -> dict:
-    if isinstance(instance, PairInstance):
-        return {"base": _txset_obj(instance.base),
-                "tx1": _tx_obj(instance.tx1), "tx2": _tx_obj(instance.tx2)}
-    if isinstance(instance, SetInclusionInstance):
-        return {"base": _txset_obj(instance.base),
-                "subset": _txset_obj(instance.subset),
-                "superset": _txset_obj(instance.superset)}
-    if isinstance(instance, BundlingInstance):
-        return {"base": _txset_obj(instance.base),
-                "tx1": _tx_obj(instance.tx1), "tx2": _tx_obj(instance.tx2),
-                "bundled": _tx_obj(instance.bundled)}
-    if isinstance(instance, EfficiencyInstance):
-        return {"base": _txset_obj(instance.base)}
-    if isinstance(instance, EstimationInstance):
-        return {"block1": _txset_obj(instance.block1),
-                "block2": _txset_obj(instance.block2),
-                "tx": _tx_obj(instance.tx)}
-    raise MalformedInstance(f"unknown instance type {type(instance)!r}")
+    """A witness as JSON: a TxSet becomes a list, a Transaction an object."""
+    return {f.name: _to_json(getattr(instance, f.name))
+            for f in fields(instance)}
 
 
 def instance_from_dict(prop: str, data: dict):
-    if prop in ("key_monotonicity", "time_monotonicity",
-                "key_time_monotonicity", "scheduling_monotonicity"):
-        return PairInstance(_txset_from(data["base"]),
-                            _tx_from(data["tx1"]), _tx_from(data["tx2"]))
-    if prop == "set_inclusion":
-        return SetInclusionInstance(_txset_from(data["base"]),
-                                    _txset_from(data["subset"]),
-                                    _txset_from(data["superset"]))
-    if prop == "bundling":
-        return BundlingInstance(_txset_from(data["base"]),
-                                _tx_from(data["tx1"]), _tx_from(data["tx2"]),
-                                _tx_from(data["bundled"]))
-    if prop == "efficiency":
-        return EfficiencyInstance(_txset_from(data["base"]))
-    if prop == "easy_gas_estimation":
-        return EstimationInstance(_txset_from(data["block1"]),
-                                  _txset_from(data["block2"]),
-                                  _tx_from(data["tx"]))
-    raise MalformedInstance(f"unknown property {prop!r}")
+    """Rebuild the instance of ``prop`` from ``instance_to_dict`` output; a
+    malformed document raises a BlockError."""
+    cls = _spec(prop).instance
+    hints = get_type_hints(cls)
+    if not isinstance(data, dict) or set(data) != set(hints):
+        raise MalformedDocument(f"bad {prop} witness: {data!r}")
+    return cls(**{name: _FROM_JSON[kind](data[name])
+                  for name, kind in hints.items()})
 
 
 # ---------------------------------------------------------------------------
 # Property evaluation
 
 
-def _check_pair_monotonicity(prop: str, mech: str, inst: PairInstance,
-                             env: PricingEnv) -> CheckOutcome:
-    tx1, tx2 = inst.tx1, inst.tx2
-    if tx1.tx_id in inst.base or tx2.tx_id in inst.base:
-        raise MalformedInstance("tx1/tx2 must not be in the base set")
-    if prop == "key_monotonicity" and not (tx1.time == tx2.time
-                                           and tx1.keys <= tx2.keys):
-        raise MalformedInstance("P1 requires t1 = t2 and K1 subset of K2")
-    if prop == "time_monotonicity" and not (tx1.time <= tx2.time
-                                            and tx1.keys == tx2.keys):
-        raise MalformedInstance("P2 requires t1 <= t2 and K1 = K2")
-    if prop == "key_time_monotonicity" and not (tx1.time <= tx2.time
-                                                and tx1.keys <= tx2.keys):
-        raise MalformedInstance("P3 requires t1 <= t2 and K1 subset of K2")
-    gas1 = env.gas(inst.base.with_txs(tx1), tx1, mech)
-    gas2 = env.gas(inst.base.with_txs(tx2), tx2, mech)
-    strict_premise = not similar(tx1, tx2)
-    details = {"gas1": format_rational(gas1), "gas2": format_rational(gas2)}
-    if gas1 > gas2:
-        return CheckOutcome(VIOLATED, strict_premise,
-                            instance_to_dict(inst), details)
-    verdict = HOLDS_STRICT if gas1 < gas2 else HOLDS_EQUAL
+def _details(**values: Fraction) -> dict:
+    return {name: format_rational(v) for name, v in values.items()}
+
+
+def _at_most(inst, lhs: Fraction, rhs: Fraction, details: dict,
+             strict_premise: bool = True) -> CheckOutcome:
+    if lhs > rhs:
+        return CheckOutcome(VIOLATED, strict_premise, instance_to_dict(inst),
+                            details)
+    verdict = HOLDS_STRICT if lhs < rhs else HOLDS_EQUAL
     return CheckOutcome(verdict, strict_premise, None, details)
+
+
+def _equal(inst, lhs: Fraction, rhs: Fraction, details: dict) -> CheckOutcome:
+    if lhs != rhs:
+        return CheckOutcome(VIOLATED, True, instance_to_dict(inst), details)
+    return CheckOutcome(HOLDS_EQUAL, True, None, details)
+
+
+def _require_outside(block: TxSet, txs, what: str) -> None:
+    if any(tx.tx_id in block for tx in txs):
+        raise MalformedInstance(f"{what} must not be in the base set")
+
+
+def _monotonicity(premise, rule: str):
+    """P1-P3: gas(tx1) <= gas(tx2) whenever ``premise(tx1, tx2)`` holds."""
+    def check(mech: str, inst: PairInstance, env: PricingEnv) -> CheckOutcome:
+        tx1, tx2 = inst.tx1, inst.tx2
+        _require_outside(inst.base, (tx1, tx2), "tx1/tx2")
+        if not premise(tx1, tx2):
+            raise MalformedInstance(rule)
+        gas1 = env.gas(inst.base.with_txs(tx1), tx1, mech)
+        gas2 = env.gas(inst.base.with_txs(tx2), tx2, mech)
+        return _at_most(inst, gas1, gas2, _details(gas1=gas1, gas2=gas2),
+                        not similar(tx1, tx2))
+    return check
 
 
 def _check_scheduling_monotonicity(mech: str, inst: PairInstance,
                                    env: PricingEnv) -> CheckOutcome:
     tx1, tx2 = inst.tx1, inst.tx2
-    if tx1.tx_id in inst.base or tx2.tx_id in inst.base:
-        raise MalformedInstance("tx1/tx2 must not be in the base set")
+    _require_outside(inst.base, (tx1, tx2), "tx1/tx2")
     block1 = inst.base.with_txs(tx1)
     block2 = inst.base.with_txs(tx2)
     v1, v2 = env.value(block1), env.value(block2)
-    details = {"v1": format_rational(v1), "v2": format_rational(v2)}
+    details = _details(v1=v1, v2=v2)
     if not v1 < v2:  # the premise is the strict v-inequality
         return CheckOutcome(NOT_APPLICABLE, False, None, details)
     gas1 = env.gas(block1, tx1, mech)
     gas2 = env.gas(block2, tx2, mech)
-    details.update(gas1=format_rational(gas1), gas2=format_rational(gas2))
-    if gas1 > gas2:
-        return CheckOutcome(VIOLATED, True, instance_to_dict(inst), details)
-    verdict = HOLDS_STRICT if gas1 < gas2 else HOLDS_EQUAL
-    return CheckOutcome(verdict, True, None, details)
+    return _at_most(inst, gas1, gas2,
+                    {**details, **_details(gas1=gas1, gas2=gas2)})
 
 
 def _check_set_inclusion(mech: str, inst: SetInclusionInstance,
@@ -220,42 +201,28 @@ def _check_set_inclusion(mech: str, inst: SetInclusionInstance,
             raise MalformedInstance("subset transactions must match superset")
     gas1 = env.block_gas(inst.base.union(inst.subset), inst.subset, mech)
     gas2 = env.block_gas(inst.base.union(inst.superset), inst.superset, mech)
-    strict_premise = sub_ids != sup_ids
-    details = {"gas1": format_rational(gas1), "gas2": format_rational(gas2)}
-    if gas1 > gas2:
-        return CheckOutcome(VIOLATED, strict_premise,
-                            instance_to_dict(inst), details)
-    verdict = HOLDS_STRICT if gas1 < gas2 else HOLDS_EQUAL
-    return CheckOutcome(verdict, strict_premise, None, details)
+    return _at_most(inst, gas1, gas2, _details(gas1=gas1, gas2=gas2),
+                    sub_ids != sup_ids)
 
 
 def _check_bundling(mech: str, inst: BundlingInstance,
                     env: PricingEnv) -> CheckOutcome:
     tx1, tx2, tx3 = inst.tx1, inst.tx2, inst.bundled
-    if {tx1.tx_id, tx2.tx_id, tx3.tx_id} & inst.base.ids:
-        raise MalformedInstance("tx1/tx2/bundled must not be in the base set")
+    _require_outside(inst.base, (tx1, tx2, tx3), "tx1/tx2/bundled")
     if tx3.time != tx1.time + tx2.time or tx3.keys != tx1.keys | tx2.keys:
         raise MalformedInstance("bundled tx must be the concatenation")
     split_block = inst.base.with_txs(tx1, tx2)
     split = env.gas(split_block, tx1, mech) + env.gas(split_block, tx2, mech)
     bundled = env.gas(inst.base.with_txs(tx3), tx3, mech)
-    details = {"split": format_rational(split),
-               "bundled": format_rational(bundled)}
-    if split > bundled:
-        return CheckOutcome(VIOLATED, True, instance_to_dict(inst), details)
-    verdict = HOLDS_STRICT if split < bundled else HOLDS_EQUAL
-    return CheckOutcome(verdict, True, None, details)
+    return _at_most(inst, split, bundled,
+                    _details(split=split, bundled=bundled))
 
 
 def _check_efficiency(mech: str, inst: EfficiencyInstance,
                       env: PricingEnv) -> CheckOutcome:
     total = env.block_gas(inst.base, inst.base, mech)
     value = env.value(inst.base)
-    details = {"total": format_rational(total),
-               "value": format_rational(value)}
-    if total != value:
-        return CheckOutcome(VIOLATED, True, instance_to_dict(inst), details)
-    return CheckOutcome(HOLDS_EQUAL, True, None, details)
+    return _equal(inst, total, value, _details(total=total, value=value))
 
 
 def _check_estimation(mech: str, inst: EstimationInstance,
@@ -264,91 +231,148 @@ def _check_estimation(mech: str, inst: EstimationInstance,
         raise MalformedInstance("tx must not be in either block")
     gas1 = env.gas(inst.block1.with_txs(inst.tx), inst.tx, mech)
     gas2 = env.gas(inst.block2.with_txs(inst.tx), inst.tx, mech)
-    details = {"gas1": format_rational(gas1), "gas2": format_rational(gas2)}
-    if gas1 != gas2:
-        return CheckOutcome(VIOLATED, True, instance_to_dict(inst), details)
-    return CheckOutcome(HOLDS_EQUAL, True, None, details)
+    return _equal(inst, gas1, gas2, _details(gas1=gas1, gas2=gas2))
+
+
+# ---------------------------------------------------------------------------
+# Random instance generation.  Each sampler draws from ``rng`` in a fixed
+# order: the matrix for a seed depends on it.
+
+
+def _pair_sampler(draw_pair):
+    """Sampler of a PairInstance: a base set, then ``draw_pair(rng, cfg)``."""
+    def sample(rng, cfg: SamplerConfig) -> PairInstance:
+        base = sample_txset(rng, cfg, rng.randint(0, cfg.max_txs - 1))
+        return PairInstance(base, *draw_pair(rng, cfg))
+    return sample
+
+
+def _nested_keys(rng, cfg: SamplerConfig) -> tuple:
+    """(small, big): two key sets with small a subset of big."""
+    big = sample_keys(rng, cfg)
+    return frozenset(rng.sample(sorted(big), rng.randint(1, len(big)))), big
+
+
+def _same_time_pair(rng, cfg: SamplerConfig) -> tuple:
+    t = sample_time(rng, cfg)
+    small, big = _nested_keys(rng, cfg)
+    return Transaction("x1", t, small), Transaction("x2", t, big)
+
+
+def _longer_pair(rng, cfg: SamplerConfig, keys1, keys2) -> tuple:
+    t1 = sample_time(rng, cfg)
+    return (Transaction("x1", t1, keys1),
+            Transaction("x2", t1 + rng.randint(0, 2), keys2))
+
+
+def _same_keys_pair(rng, cfg: SamplerConfig) -> tuple:
+    keys = sample_keys(rng, cfg)
+    return _longer_pair(rng, cfg, keys, keys)
+
+
+def _dominated_pair(rng, cfg: SamplerConfig) -> tuple:
+    return _longer_pair(rng, cfg, *_nested_keys(rng, cfg))
+
+
+def _any_pair(rng, cfg: SamplerConfig) -> tuple:
+    return (sample_transaction(rng, cfg, "x1"),
+            sample_transaction(rng, cfg, "x2"))
+
+
+def _sample_set_inclusion(rng, cfg: SamplerConfig) -> SetInclusionInstance:
+    # Empty bases matter here: equality cases of the property (same
+    # makespan, whole block charged) only show up without background
+    # transactions, so sample them often.
+    if rng.random() < 0.5:
+        base = TxSet()
+    else:
+        base = sample_txset(rng, cfg, rng.randint(1, max(1, cfg.max_txs - 2)))
+    sup_size = rng.randint(1, cfg.max_txs - len(base))
+    superset = TxSet(sample_transaction(rng, cfg, f"x{i}")
+                     for i in range(sup_size))
+    sub_ids = [tx.tx_id for tx in superset if rng.random() < 0.6]
+    return SetInclusionInstance(base, superset.subset(sub_ids), superset)
+
+
+def _sample_bundling(rng, cfg: SamplerConfig) -> BundlingInstance:
+    base = sample_txset(rng, cfg, rng.randint(0, max(0, cfg.max_txs - 2)))
+    tx1 = sample_transaction(rng, cfg, "x1")
+    tx2 = sample_transaction(rng, cfg, "x2")
+    return BundlingInstance(base, tx1, tx2, concatenate(tx1, tx2, "x3"))
+
+
+def _sample_efficiency(rng, cfg: SamplerConfig) -> EfficiencyInstance:
+    return EfficiencyInstance(sample_txset(rng, cfg))
+
+
+def _sample_estimation(rng, cfg: SamplerConfig) -> EstimationInstance:
+    block1 = sample_txset(rng, cfg, rng.randint(0, cfg.max_txs - 1),
+                          prefix="a")
+    block2 = sample_txset(rng, cfg, rng.randint(0, cfg.max_txs - 1),
+                          prefix="b")
+    return EstimationInstance(block1, block2,
+                              sample_transaction(rng, cfg, "x"))
+
+
+# ---------------------------------------------------------------------------
+# The property registry
+
+
+@dataclass(frozen=True)
+class Property:
+    """How one property is sampled and checked.  ``exact`` marks a property
+    whose conclusion is an equality, so a held cell reads "yes"."""
+    instance: type
+    sample: Callable  # (rng, SamplerConfig) -> instance
+    check: Callable   # (mechanism, instance, PricingEnv) -> CheckOutcome
+    exact: bool = False
+
+
+REGISTRY = {
+    "key_monotonicity": Property(  # P1
+        PairInstance, _pair_sampler(_same_time_pair),
+        _monotonicity(lambda a, b: a.time == b.time and a.keys <= b.keys,
+                      "P1 requires t1 = t2 and K1 subset of K2")),
+    "time_monotonicity": Property(  # P2
+        PairInstance, _pair_sampler(_same_keys_pair),
+        _monotonicity(lambda a, b: a.time <= b.time and a.keys == b.keys,
+                      "P2 requires t1 <= t2 and K1 = K2")),
+    "key_time_monotonicity": Property(  # P3
+        PairInstance, _pair_sampler(_dominated_pair),
+        _monotonicity(lambda a, b: a.time <= b.time and a.keys <= b.keys,
+                      "P3 requires t1 <= t2 and K1 subset of K2")),
+    "set_inclusion": Property(  # P4
+        SetInclusionInstance, _sample_set_inclusion, _check_set_inclusion),
+    "bundling": Property(  # P5
+        BundlingInstance, _sample_bundling, _check_bundling),
+    "scheduling_monotonicity": Property(  # P6
+        PairInstance, _pair_sampler(_any_pair),
+        _check_scheduling_monotonicity),
+    "efficiency": Property(  # P7
+        EfficiencyInstance, _sample_efficiency, _check_efficiency,
+        exact=True),
+    "easy_gas_estimation": Property(  # P8
+        EstimationInstance, _sample_estimation, _check_estimation,
+        exact=True),
+}
+
+PROPERTIES = tuple(REGISTRY)
+
+
+def _spec(prop: str) -> Property:
+    try:
+        return REGISTRY[prop]
+    except KeyError:
+        raise MalformedInstance(f"unknown property {prop!r}") from None
 
 
 def check_property(prop: str, mech: str, instance,
                    env: PricingEnv) -> CheckOutcome:
-    if prop in ("key_monotonicity", "time_monotonicity",
-                "key_time_monotonicity"):
-        return _check_pair_monotonicity(prop, mech, instance, env)
-    if prop == "scheduling_monotonicity":
-        return _check_scheduling_monotonicity(mech, instance, env)
-    if prop == "set_inclusion":
-        return _check_set_inclusion(mech, instance, env)
-    if prop == "bundling":
-        return _check_bundling(mech, instance, env)
-    if prop == "efficiency":
-        return _check_efficiency(mech, instance, env)
-    if prop == "easy_gas_estimation":
-        return _check_estimation(mech, instance, env)
-    raise MalformedInstance(f"unknown property {prop!r}")
-
-
-# ---------------------------------------------------------------------------
-# Random instance generation
+    return _spec(prop).check(mech, instance, env)
 
 
 def sample_instance(prop: str, rng, cfg: SamplerConfig):
-    if prop in ("key_monotonicity", "time_monotonicity",
-                "key_time_monotonicity", "scheduling_monotonicity"):
-        base = sample_txset(rng, cfg, rng.randint(0, cfg.max_txs - 1))
-        if prop == "scheduling_monotonicity":
-            tx1 = sample_transaction(rng, cfg, "x1")
-            tx2 = sample_transaction(rng, cfg, "x2")
-        elif prop == "key_monotonicity":
-            t = sample_time(rng, cfg)
-            big = sample_keys(rng, cfg)
-            small = frozenset(rng.sample(sorted(big),
-                                         rng.randint(1, len(big))))
-            tx1 = Transaction("x1", t, small)
-            tx2 = Transaction("x2", t, big)
-        elif prop == "time_monotonicity":
-            keys = sample_keys(rng, cfg)
-            t1 = sample_time(rng, cfg)
-            tx1 = Transaction("x1", t1, keys)
-            tx2 = Transaction("x2", t1 + rng.randint(0, 2), keys)
-        else:
-            big = sample_keys(rng, cfg)
-            small = frozenset(rng.sample(sorted(big),
-                                         rng.randint(1, len(big))))
-            t1 = sample_time(rng, cfg)
-            tx1 = Transaction("x1", t1, small)
-            tx2 = Transaction("x2", t1 + rng.randint(0, 2), big)
-        return PairInstance(base, tx1, tx2)
-    if prop == "set_inclusion":
-        # Empty bases matter here: equality cases of the property (same
-        # makespan, whole block charged) only show up without background
-        # transactions, so sample them often.
-        if rng.random() < 0.5:
-            base = TxSet()
-        else:
-            base = sample_txset(rng, cfg,
-                                rng.randint(1, max(1, cfg.max_txs - 2)))
-        sup_size = rng.randint(1, cfg.max_txs - len(base))
-        superset = TxSet(sample_transaction(rng, cfg, f"x{i}")
-                         for i in range(sup_size))
-        sub_ids = [tx.tx_id for tx in superset
-                   if rng.random() < 0.6]
-        return SetInclusionInstance(base, superset.subset(sub_ids), superset)
-    if prop == "bundling":
-        base = sample_txset(rng, cfg, rng.randint(0, max(0, cfg.max_txs - 2)))
-        tx1 = sample_transaction(rng, cfg, "x1")
-        tx2 = sample_transaction(rng, cfg, "x2")
-        return BundlingInstance(base, tx1, tx2, concatenate(tx1, tx2, "x3"))
-    if prop == "efficiency":
-        return EfficiencyInstance(sample_txset(rng, cfg))
-    if prop == "easy_gas_estimation":
-        block1 = sample_txset(rng, cfg,
-                              rng.randint(0, cfg.max_txs - 1), prefix="a")
-        block2 = sample_txset(rng, cfg,
-                              rng.randint(0, cfg.max_txs - 1), prefix="b")
-        return EstimationInstance(block1, block2,
-                                  sample_transaction(rng, cfg, "x"))
-    raise MalformedInstance(f"unknown property {prop!r}")
+    return _spec(prop).sample(rng, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -583,24 +607,10 @@ def run_fixture_suite(mech: str | None = None,
 # Randomized search and the comparison matrix
 
 
-def _env_pool(cfg: SamplerConfig) -> dict:
+def env_pool(cfg: SamplerConfig) -> dict:
+    """One pricing environment per thread count the sampler draws from."""
     return {n: PricingEnv(scheduler_cfg=SchedulerConfig(threads=n))
             for n in cfg.threads}
-
-
-def search_counterexample(prop: str, mech: str, cfg: SamplerConfig,
-                          budget: int, envs: dict | None = None) -> dict | None:
-    """First Violated witness within the trial budget, else None."""
-    envs = envs or _env_pool(cfg)
-    rng = rng_for(cfg, "search", mech, prop)
-    for _ in range(budget):
-        threads = rng.choice(cfg.threads)
-        inst = sample_instance(prop, rng, cfg)
-        outcome = check_property(prop, mech, inst, envs[threads])
-        if outcome.verdict == VIOLATED:
-            return {"property": prop, "mechanism": mech, "threads": threads,
-                    "instance": outcome.witness, "expected": outcome.details}
-    return None
 
 
 @dataclass(frozen=True)
@@ -614,7 +624,7 @@ class MatrixCell:
 
 
 def _classify(prop: str, counts: dict) -> str:
-    if prop in ("efficiency", "easy_gas_estimation"):
+    if REGISTRY[prop].exact:
         return "yes"
     if counts["strict_premise"] and counts["strict_premise_equal"] == 0:
         return "<"
@@ -623,22 +633,28 @@ def _classify(prop: str, counts: dict) -> str:
     return "<="
 
 
+def _witness(prop: str, mech: str, threads, outcome: CheckOutcome) -> dict:
+    return {"property": prop, "mechanism": mech, "threads": threads,
+            "instance": outcome.witness, "expected": outcome.details}
+
+
 def evaluate_cell(prop: str, mech: str, cfg: SamplerConfig, budget: int,
                   envs: dict, known: dict | None = None) -> MatrixCell:
+    """Check ``prop`` for ``mech`` on the known violation of the cell, if
+    any, then on up to ``budget`` sampled instances.  The first violation
+    ends the search and is the cell's witness; with ``known={}`` this is a
+    plain randomized counterexample search."""
     known = known if known is not None else known_violations()
     seeded = known.get((mech, prop))
-    counts = {"applicable": 0, "equal": 0, "strict": 0,
-              "strict_premise": 0, "strict_premise_equal": 0}
-    witness = None
-    rng = rng_for(cfg, "matrix", mech, prop)
     if seeded is not None:
         threads = cfg.threads[0]
         outcome = check_property(prop, mech, seeded, envs[threads])
         if outcome.verdict == VIOLATED:
-            witness = {"property": prop, "mechanism": mech,
-                       "threads": threads, "instance": outcome.witness,
-                       "expected": outcome.details}
-            return MatrixCell("x", 1, 0, 0, 1, witness)
+            return MatrixCell("x", 1, 0, 0, 1,
+                              _witness(prop, mech, threads, outcome))
+    counts = {"applicable": 0, "equal": 0, "strict": 0,
+              "strict_premise": 0, "strict_premise_equal": 0}
+    rng = rng_for(cfg, "matrix", mech, prop)
     for trial in range(budget):
         threads = rng.choice(cfg.threads)
         inst = sample_instance(prop, rng, cfg)
@@ -647,11 +663,9 @@ def evaluate_cell(prop: str, mech: str, cfg: SamplerConfig, budget: int,
             continue
         counts["applicable"] += 1
         if outcome.verdict == VIOLATED:
-            witness = {"property": prop, "mechanism": mech,
-                       "threads": threads, "instance": outcome.witness,
-                       "expected": outcome.details}
             return MatrixCell("x", trial + 1, counts["strict"],
-                              counts["equal"], counts["applicable"], witness)
+                              counts["equal"], counts["applicable"],
+                              _witness(prop, mech, threads, outcome))
         if outcome.verdict == HOLDS_STRICT:
             counts["strict"] += 1
         else:
@@ -669,8 +683,7 @@ class MatrixReport:
     sampler: SamplerConfig
     budget: int
     cells: dict  # (mech, prop) -> MatrixCell
-    expected: dict  # mech -> prop -> symbol
-    mismatches: tuple
+    mismatches: tuple  # (mech, prop, computed, expected)
 
     @property
     def ok(self) -> bool:
@@ -682,27 +695,6 @@ class MatrixReport:
                 f"{mech}/{prop}: computed {got} != expected {want}"
                 for mech, prop, got, want in self.mismatches))
 
-    def to_dict(self) -> dict:
-        return {
-            "sampler": {"seed": self.sampler.seed,
-                        "max_txs": self.sampler.max_txs,
-                        "key_pool": self.sampler.key_pool,
-                        "time_range": list(self.sampler.time_range),
-                        "threads": ["unbounded" if t is None else t
-                                    for t in self.sampler.threads]},
-            "budget": self.budget,
-            "note": ("violated cells carry concrete witnesses; satisfied "
-                     "cells mean no violation within the trial budget, with "
-                     "sampled strictness classification"),
-            "cells": {f"{mech}/{prop}": {
-                "symbol": cell.symbol, "trials": cell.trials,
-                "strict": cell.strict_count, "equal": cell.equal_count,
-                "applicable": cell.applicable, "witness": cell.witness}
-                for (mech, prop), cell in sorted(self.cells.items())},
-            "expected": self.expected,
-            "mismatches": [list(m) for m in self.mismatches],
-        }
-
 
 def load_expected_matrix() -> dict:
     with resources.files("paragas.data").joinpath(
@@ -712,21 +704,22 @@ def load_expected_matrix() -> dict:
 
 def property_matrix(mechs: Iterable[str] = TABLE_MECHANISMS,
                     cfg: SamplerConfig | None = None,
-                    budget: int = 2000) -> MatrixReport:
+                    budget: int = 2000,
+                    props: Iterable[str] = PROPERTIES) -> MatrixReport:
     cfg = cfg or SamplerConfig()
-    envs = _env_pool(cfg)
+    envs = env_pool(cfg)
     known = known_violations()
     expected = load_expected_matrix()["rows"]
     cells: dict[tuple[str, str], MatrixCell] = {}
     mismatches = []
     for mech in mechs:
-        for prop in PROPERTIES:
+        for prop in props:
             cell = evaluate_cell(prop, mech, cfg, budget, envs, known)
             cells[(mech, prop)] = cell
             want = expected.get(mech, {}).get(prop)
             if want is not None and cell.symbol != want:
                 mismatches.append((mech, prop, cell.symbol, want))
-    return MatrixReport(cfg, budget, cells, expected, tuple(mismatches))
+    return MatrixReport(cfg, budget, cells, tuple(mismatches))
 
 
 _SYMBOL_TEXT = {"x": "✗", "<": "<", "<=": "≤", "=": "=", "yes": "✓"}
@@ -783,7 +776,7 @@ def check_lemma_consistency(mech: str, cfg: SamplerConfig,
     monotonicity violation must decompose through the intermediate
     transaction (t1, K2) into a key-monotonicity or a time-monotonicity
     violation, and strict component behavior must compose strictly."""
-    envs = _env_pool(cfg)
+    envs = env_pool(cfg)
     rng = rng_for(cfg, "lemma", mech)
     p3_violations = decomposed = 0
     inconsistencies = []

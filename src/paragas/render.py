@@ -10,6 +10,8 @@ from math import floor
 from .scheduler import Schedule, makespan
 
 MAX_TICKS = 50  # time-axis ticks in an SVG, whatever the makespan
+PX_PER_UNIT = 48  # SVG scale up to a makespan of MAX_TICKS; longer ones shrink
+ROW_HEIGHT = 28
 
 _PALETTE = ("#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
             "#edc948", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac")
@@ -57,14 +59,15 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def gantt_svg(schedule: Schedule, px_per_unit: int = 48,
-              row_height: int = 28) -> str:
+def gantt_svg(schedule: Schedule) -> str:
     span = makespan(schedule)
     rows = _rows(schedule)
     label_w = 90
-    chart_w = max(int(float(span) * px_per_unit), px_per_unit)
+    px_per_unit = PX_PER_UNIT if span <= MAX_TICKS else \
+        PX_PER_UNIT * MAX_TICKS / float(span)
+    chart_w = max(int(float(span) * px_per_unit), PX_PER_UNIT)
     width = label_w + chart_w + 20
-    height = (len(rows) + 1) * row_height + 30
+    height = (len(rows) + 1) * ROW_HEIGHT + 30
     colors = {tx.tx_id: _PALETTE[i % len(_PALETTE)]
               for i, tx in enumerate(schedule.txs)}
     parts = [
@@ -73,29 +76,29 @@ def gantt_svg(schedule: Schedule, px_per_unit: int = 48,
         f'<text x="4" y="16">makespan = {span}</text>',
     ]
     for r, (key, segs) in enumerate(rows):
-        y = 24 + r * row_height
-        parts.append(f'<text x="4" y="{y + row_height * 2 // 3}">'
+        y = 24 + r * ROW_HEIGHT
+        parts.append(f'<text x="4" y="{y + ROW_HEIGHT * 2 // 3}">'
                      f'{_escape(key)}</text>')
-        parts.append(f'<line x1="{label_w}" y1="{y + row_height}" '
-                     f'x2="{label_w + chart_w}" y2="{y + row_height}" '
+        parts.append(f'<line x1="{label_w}" y1="{y + ROW_HEIGHT}" '
+                     f'x2="{label_w + chart_w}" y2="{y + ROW_HEIGHT}" '
                      f'stroke="#ddd"/>')
         for tx_id, start, end in segs:
             x = label_w + float(start) * px_per_unit
             w = max(float(end - start) * px_per_unit, 1.0)
             parts.append(
                 f'<rect x="{x:.2f}" y="{y + 3}" width="{w:.2f}" '
-                f'height="{row_height - 6}" fill="{colors[tx_id]}" '
+                f'height="{ROW_HEIGHT - 6}" fill="{colors[tx_id]}" '
                 f'stroke="#333"><title>{_escape(tx_id)}: [{start}, {end})'
                 f'</title></rect>')
             parts.append(f'<text x="{x + 3:.2f}" '
-                         f'y="{y + row_height * 2 // 3}" '
+                         f'y="{y + ROW_HEIGHT * 2 // 3}" '
                          f'fill="#fff">{_escape(tx_id)}</text>')
     # integer time ticks: one per unit, or a whole step of several units that
     # keeps them to about MAX_TICKS
-    axis_y = 24 + len(rows) * row_height
+    axis_y = 24 + len(rows) * ROW_HEIGHT
     step = max(1, -(-floor(span) // MAX_TICKS))
     for tick in range(0, floor(span) + 1, step):
-        x = label_w + tick * px_per_unit
+        x = label_w + round(tick * px_per_unit)
         parts.append(f'<line x1="{x}" y1="24" x2="{x}" y2="{axis_y}" '
                      f'stroke="#eee"/>')
         parts.append(f'<text x="{x - 3}" y="{axis_y + 16}">{tick}</text>')

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -180,3 +181,96 @@ def test_invalid_computed_schedule_is_a_typed_error(four_tx_block,
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
+
+
+def test_check_json_is_byte_identical_to_checked_in_output(capsys):
+    expected = (Path(__file__).parent / "data" /
+                "check_seed0_budget200.json").read_text(encoding="utf-8")
+    code, out = run(capsys, ["check", "--format", "json", "--budget", "200",
+                             "--seed", "0"])
+    assert code == 0
+    assert out.out == expected
+
+
+def one_error_line(err):
+    return len([line for line in err.splitlines() if "error:" in line]) == 1 \
+        and "Traceback" not in err
+
+
+def test_check_budget_below_one_is_usage_error(capsys):
+    for budget in ("0", "-5"):
+        code, out = run(capsys, ["check", "--mech", "current", "--prop",
+                                 "bundling", "--budget", budget])
+        assert code == 2, budget
+        assert one_error_line(out.err)
+        assert out.out == ""
+
+
+@pytest.mark.parametrize("config", [
+    {"time_range": [1]}, {"price_denominator": 0}, {"bids_per_block": "x"},
+    {"time_range": [3, 1]}, {"max_keys_per_tx": 9}, {"price_range": 5},
+    [1, 2]])
+def test_simulate_bad_workload_config_is_usage_error(tmp_path, capsys,
+                                                     config):
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps(config))
+    code, out = run(capsys, ["simulate", "--blocks", "2",
+                             "--workload", str(path)])
+    assert code == 2
+    assert one_error_line(out.err)
+
+
+@pytest.mark.parametrize("flags", [
+    ("--blocks", "0"), ("--denominator", "0"), ("--gas-limit", "0"),
+    ("--target", "-1"), ("--base-fee", "0"), ("--gas-limit", "x")])
+def test_simulate_bad_flags_are_usage_errors(capsys, flags):
+    code, out = run(capsys, ["simulate", "--blocks", "2", *flags])
+    assert code == 2
+    assert one_error_line(out.err)
+
+
+def test_weights_value_must_be_an_object(tmp_path, capsys):
+    block = tmp_path / "b.json"
+    block.write_text(json.dumps({"transactions": [
+        {"id": "a", "time": 4, "keys": ["k1"]}]}))
+    for weights in (5, [["k1", 2]]):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"weights": weights}))
+        code, out = run(capsys, ["gas", str(block), "--mech",
+                                 "weighted_area", "--weights", str(path)])
+        assert code == 2
+        assert one_error_line(out.err)
+
+
+def test_internal_value_error_is_not_a_usage_error(four_tx_block,
+                                                   monkeypatch):
+    def broken(txs, cfg):
+        raise ValueError("internal fault")
+    monkeypatch.setattr(cli, "optimal_schedule", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["schedule", four_tx_block])
+
+
+def test_unreadable_inputs_are_usage_errors(tmp_path, capsys, four_tx_block):
+    # Each used to reach main as a bare ValueError.
+    undecodable = tmp_path / "bin.json"
+    undecodable.write_bytes(b"\xff\xfe")
+    huge = "1" * 5000  # more digits than int() converts
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"transactions": [{"id": "a", "time": %s, '
+                        '"keys": ["k1"]}]}' % huge)
+    long_str = tmp_path / "long_str.json"
+    long_str.write_text(json.dumps({"transactions": [
+        {"id": "a", "time": huge, "keys": ["k1"]}]}))
+    long_seed = tmp_path / "long_seed.json"
+    long_seed.write_text('{"seed": %s}' % huge)
+    for argv in (["gas", str(undecodable)], ["gas", str(long_int)],
+                 ["schedule", str(long_str)],
+                 ["gas", four_tx_block, "--weights", str(undecodable)],
+                 ["gas", four_tx_block, "--weights", str(long_seed)],
+                 ["simulate", "--workload", str(undecodable)],
+                 ["simulate", "--workload", str(long_seed)],
+                 ["simulate", "--gas-limit", huge]):
+        code, out = run(capsys, argv)
+        assert code == 2, argv
+        assert one_error_line(out.err)

@@ -1,10 +1,10 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from paragas import (GcmContext, PricingEnv, SchedulerConfig, TxSet,
-                     WeightTable, gas, make_transaction, price_block,
-                     subset_value_table)
+from paragas import (PricingEnv, SchedulerConfig, TxSet, WeightTable,
+                     make_transaction, subset_value_table)
 from paragas.core import Transaction
 from paragas.gcm import (MissingVTable, NonMonotoneValue, TxNotInSet,
                          gas_banzhaf, gas_shapley)
@@ -110,9 +110,10 @@ def test_negative_marginal_is_a_typed_error():
     block = TxSet([tx("a", 1, ["k1"]), tx("b", 1, ["k1"])])
     # v({a}) = 3 > v({a, b}) = 2: not monotone.
     table = SubsetValueTable(block, 1, {0: 0, 1: 3, 2: 1, 3: 2})
-    for mech in ("shapley", "banzhaf", "banzhaf_normalized"):
+    for price in (gas_shapley, gas_banzhaf,
+                  partial(gas_banzhaf, normalized=True)):
         with pytest.raises(NonMonotoneValue):
-            gas(block, block.get("b"), mech, GcmContext(vtable=table))
+            price(block, block.get("b"), table)
 
 
 def test_shapley_efficiency():
@@ -128,13 +129,12 @@ def test_banzhaf_published_values_and_normalization():
     e = env2()
     block = TxSet([tx("tx1", 1, ["k1"]), tx("tx2", 1, ["k1"]),
                    tx("tx3", 1, ["k2"])])
-    got = price_block(block, "banzhaf", e.context_for(block, "banzhaf"))
+    got = {t.tx_id: e.gas(block, t, "banzhaf") for t in block}
     assert got == {"tx1": Fraction(3, 4), "tx2": Fraction(3, 4),
                    "tx3": Fraction(1, 4)}
     assert sum(got.values()) == Fraction(7, 4)
     assert e.value(block) == 2
-    norm = price_block(block, "banzhaf_normalized",
-                       e.context_for(block, "banzhaf_normalized"))
+    norm = {t.tx_id: e.gas(block, t, "banzhaf_normalized") for t in block}
     for tx_id in got:
         assert norm[tx_id] == got[tx_id] * Fraction(8, 7)
     assert sum(norm.values()) == 2
@@ -200,13 +200,12 @@ def test_tx_must_be_member_of_block():
 
 def test_vtable_required_and_must_match_block():
     block = TxSet([tx("a", 1, ["k1"]), tx("b", 1, ["k2"])])
-    ctx = GcmContext(scheduler_cfg=N2)  # no vtable supplied
+    whole = SubsetValueTable.whole(block, Fraction(1))  # knows only v(T)
     with pytest.raises(MissingVTable):
-        gas(block, block.get("a"), "shapley", ctx)
+        gas_shapley(block, block.get("a"), whole)
     other = TxSet([tx("z", 1, ["k1"])])
-    ctx = GcmContext(scheduler_cfg=N2, vtable=subset_value_table(other, N2))
     with pytest.raises(MissingVTable):
-        gas(block, block.get("a"), "banzhaf", ctx)
+        gas_banzhaf(block, block.get("a"), subset_value_table(other, N2))
 
 
 def test_block_gas_empty_subset_and_containment():

@@ -1,16 +1,19 @@
 import pytest
 
-from paragas import (PROPERTIES, PricingEnv, SamplerConfig, SchedulerConfig,
-                     TxSet, check_lemma_consistency, check_property,
-                     known_violations, load_expected_matrix, make_transaction,
-                     property_matrix, render_matrix_text, run_fixture_suite,
-                     search_counterexample)
+from paragas import (PROPERTIES, BlockError, MalformedDocument, PricingEnv,
+                     SamplerConfig, SchedulerConfig, TxSet,
+                     check_lemma_consistency, check_property, env_pool,
+                     evaluate_cell, known_violations, load_expected_matrix,
+                     make_transaction, property_matrix, render_matrix_text,
+                     run_fixture_suite)
+from paragas.core import NonPositiveTime
 from paragas.properties import (HOLDS_EQUAL, HOLDS_STRICT, NOT_APPLICABLE,
                                 VIOLATED, BundlingInstance, EfficiencyInstance,
                                 EstimationInstance, MalformedInstance,
                                 PairInstance, SetInclusionInstance,
-                                evaluate_cell, instance_from_dict,
-                                instance_to_dict)
+                                instance_from_dict, instance_to_dict,
+                                sample_instance)
+from paragas.sampling import rng_for
 
 N2 = SchedulerConfig(threads=2)
 
@@ -60,8 +63,6 @@ def test_efficiency_violation_current():
 
 
 def test_bundling_holds_for_banzhaf_on_samples():
-    from paragas.properties import sample_instance
-    from paragas.sampling import rng_for
     cfg = SamplerConfig(seed=9, max_txs=4, key_pool=3)
     e = env2()
     rng = rng_for(cfg, "bundling-banzhaf")
@@ -157,17 +158,42 @@ def test_instance_serialization_roundtrip():
              "efficiency", "easy_gas_estimation"]
     for prop, inst in zip(props, insts):
         assert instance_from_dict(prop, instance_to_dict(inst)) == inst
+    cfg = SamplerConfig(seed=2)
+    for prop in PROPERTIES:
+        inst = sample_instance(prop, rng_for(cfg, "roundtrip", prop), cfg)
+        assert instance_from_dict(prop, instance_to_dict(inst)) == inst
+
+
+def test_malformed_witness_is_a_typed_error():
+    good = {"id": "a", "time": 1, "keys": ["k1"]}
+    for bad in ({"base": [{**good, "time": 0}]},   # time must be > 0
+                {"base": [{**good, "keys": []}]},  # keys must be non-empty
+                {"base": [good, good]},            # duplicate id
+                {"base": [{"id": "a", "time": 1}]},
+                {"base": good},
+                {"base": [good], "extra": []},
+                []):
+        with pytest.raises(BlockError):
+            instance_from_dict("efficiency", bad)
+    with pytest.raises(NonPositiveTime):
+        instance_from_dict("easy_gas_estimation", {
+            "block1": [], "block2": [], "tx": {**good, "time": "-1/2"}})
+    with pytest.raises(MalformedDocument):
+        instance_from_dict("bundling", {"base": []})
 
 
 def test_search_counterexample_finds_and_misses():
     cfg = SamplerConfig(seed=1, max_txs=4, key_pool=3)
-    hit = search_counterexample("set_inclusion", "shapley", cfg, budget=5000)
+    envs = env_pool(cfg)
+    hit = evaluate_cell("set_inclusion", "shapley", cfg, 5000, envs,
+                        known={}).witness
     assert hit is not None
     assert hit["mechanism"] == "shapley"
-    miss = search_counterexample("key_monotonicity", "weighted_area", cfg,
-                                 budget=300)
+    miss = evaluate_cell("key_monotonicity", "weighted_area", cfg, 300, envs,
+                         known={}).witness
     assert miss is None
-    p8 = search_counterexample("easy_gas_estimation", "tpm", cfg, budget=500)
+    p8 = evaluate_cell("easy_gas_estimation", "tpm", cfg, 500, envs,
+                       known={}).witness
     assert p8 is not None
 
 
@@ -177,10 +203,9 @@ def test_property_matrix_small_budget_matches_expected():
     report.raise_on_mismatch()  # no-op when clean
     text = render_matrix_text(report)
     assert "easy_gas_estimation" in text
-    doc = report.to_dict()
-    assert doc["mismatches"] == []
-    assert doc["cells"]["current/efficiency"]["symbol"] == "x"
-    assert doc["cells"]["current/efficiency"]["witness"] is not None
+    assert report.mismatches == ()
+    assert report.cells[("current", "efficiency")].symbol == "x"
+    assert report.cells[("current", "efficiency")].witness is not None
 
 
 def test_matrix_cell_symbols_match_published_rows():
@@ -200,8 +225,7 @@ def test_matrix_cell_symbols_match_published_rows():
 
 def test_evaluate_cell_reports_mismatch_against_wrong_expectation():
     cfg = SamplerConfig(seed=0)
-    envs = {n: PricingEnv(scheduler_cfg=SchedulerConfig(threads=n))
-            for n in cfg.threads}
+    envs = env_pool(cfg)
     cell = evaluate_cell("efficiency", "shapley", cfg, 50, envs, known={})
     assert cell.symbol == "yes"
     cell = evaluate_cell("efficiency", "banzhaf", cfg, 200, envs, known={})
