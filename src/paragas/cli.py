@@ -17,8 +17,8 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .core import (BlockError, WeightTable, format_rational, parse_block,
-                   to_rational)
+from .core import (BlockError, WeightTable, format_rational, load_json,
+                   parse_block, to_rational)
 from .feemarket import BaseFeeState, WorkloadConfig, simulate, workload
 from .gcm import MECHANISMS, TABLE_MECHANISMS, PricingEnv
 from .properties import (PROPERTIES, FixtureMismatch, property_matrix,
@@ -90,8 +90,8 @@ def _load_weights(path: str | None, fallback: WeightTable) -> WeightTable:
     if path is None:
         return fallback
     try:
-        data = json.loads(_read(path, "weights file"))
-    except ValueError as exc:  # also integers too long to convert
+        data = load_json(_read(path, "weights file"))
+    except BlockError as exc:
         raise UsageError(f"cannot read weights file: {exc}")
     if not isinstance(data, dict):
         raise UsageError("weights file must be a JSON object")

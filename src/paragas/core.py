@@ -231,14 +231,21 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+def load_json(document: str, **kwargs):
+    """``json.loads`` that reports every undecodable document, including
+    integers too long to convert and nesting too deep to parse, as
+    MalformedDocument."""
+    try:
+        return json.loads(document, **kwargs)
+    except MalformedDocument:  # raised by a hook
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise MalformedDocument(f"invalid JSON: {exc}") from exc
+
+
 def parse_block(document: str) -> tuple[TxSet, WeightTable]:
     """Parse the block JSON format; enforces all transaction invariants."""
-    try:
-        data = json.loads(document, object_pairs_hook=_unique_keys)
-    except MalformedDocument:  # a duplicate key
-        raise
-    except ValueError as exc:  # also integers too long to convert
-        raise MalformedDocument(f"invalid JSON: {exc}") from exc
+    data = load_json(document, object_pairs_hook=_unique_keys)
     if not isinstance(data, dict):
         raise MalformedDocument("block document must be a JSON object")
     unknown = set(data) - _BLOCK_FIELDS

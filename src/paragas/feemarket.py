@@ -4,6 +4,12 @@ Users submit bids (a transaction plus a maximum price per gas unit), blocks
 are built greedily under a gas limit, everyone included pays gas * base_fee,
 and the base fee adjusts toward a gas target after every block.
 
+The base fee lives on a grid of ``BASE_FEE_GRID`` units per price unit and
+moves by EIP-1559's integer rule (https://eips.ethereum.org/EIPS/eip-1559),
+so it stays a rational with a denominator dividing the grid however long
+the run.  A starting fee off the grid is taken as given and lands on the
+grid at its first update.
+
 For mechanisms whose gas depends on the rest of the block, the declared gas
 of a bid is an estimate (the transaction priced alone in an otherwise empty
 block) and the real gas is recomputed once on the final included set.  No
@@ -15,11 +21,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
-from .core import MalformedDocument, Transaction, TxSet, format_rational, to_rational
+from .core import (MalformedDocument, Transaction, TxSet, format_rational,
+                   load_json, to_rational)
 from .gcm import PricingEnv
 from .sampling import rng_for
 
@@ -60,11 +66,30 @@ class BaseFeeState:
             raise ValueError("min_base_fee must be > 0")
 
 
+BASE_FEE_GRID = 10**9  # base-fee units per price unit (wei per gwei)
+
+
 def base_fee_update(state: BaseFeeState, gas_used: Fraction) -> BaseFeeState:
-    deviation = (gas_used - state.target_gas) \
-        / (state.target_gas * state.adjustment_denominator)
-    new_fee = max(state.base_fee * (1 + deviation), state.min_base_fee)
-    return replace(state, base_fee=new_fee)
+    """EIP-1559 step on the grid.  With u = floor(base_fee * BASE_FEE_GRID)
+    units, d = gas_used - target and D = target * adjustment_denominator,
+    the fee becomes u + max(floor(u*d/D), 1) units above the target and
+    u - floor(u*|d|/D) units below it, but never less than ``min_base_fee``;
+    at the target the state is returned unchanged."""
+    fee, target = state.base_fee, state.target_gas
+    # u*d/D = u * num / den, with target's denominator cancelled out.
+    num = gas_used.numerator * target.denominator \
+        - target.numerator * gas_used.denominator
+    if num == 0:
+        return state
+    units = fee.numerator * BASE_FEE_GRID // fee.denominator
+    den = gas_used.denominator * target.numerator \
+        * state.adjustment_denominator
+    if num > 0:
+        units += max(units * num // den, 1)
+    else:
+        units -= units * -num // den
+    return replace(state, base_fee=max(Fraction(units, BASE_FEE_GRID),
+                                       state.min_base_fee))
 
 
 @dataclass(frozen=True)
@@ -83,7 +108,9 @@ def build_block(mempool: list, gas_limit: Fraction, mech: str,
     if gas_limit <= 0:
         raise ValueError("gas_limit must be > 0")
     eligible = [b for b in mempool if b.max_price_per_gas >= state.base_fee]
-    eligible.sort(key=lambda b: (-b.max_price_per_gas, b.tx.tx_id))
+    # Highest price first, ties by id: two stable sorts, no negated keys.
+    eligible.sort(key=lambda b: b.tx.tx_id)
+    eligible.sort(key=lambda b: b.max_price_per_gas, reverse=True)
     chosen: list[Bid] = []
     declared_total = Fraction(0)
     for bid in eligible:
@@ -159,22 +186,18 @@ class WorkloadConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "WorkloadConfig":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:  # also integers too long to convert
-            raise MalformedDocument(f"invalid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(load_json(text))
 
 
 def workload(cfg: WorkloadConfig, blocks: int, mech: str, env: PricingEnv):
     """Deterministic bid stream: one list of bids per block."""
     rng = rng_for(cfg, "workload")
+    pool = [f"k{j}" for j in range(1, cfg.key_pool + 1)]
     for block_index in range(blocks):
         bids = []
         for i in range(cfg.bids_per_block):
-            keys = frozenset(rng.sample(
-                [f"k{j}" for j in range(1, cfg.key_pool + 1)],
-                rng.randint(1, cfg.max_keys_per_tx)))
+            keys = frozenset(rng.sample(pool,
+                                        rng.randint(1, cfg.max_keys_per_tx)))
             tx = Transaction(f"b{block_index}_{i}",
                              Fraction(rng.randint(*cfg.time_range)), keys)
             price = Fraction(rng.randint(*cfg.price_range),

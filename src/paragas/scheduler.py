@@ -362,10 +362,13 @@ def optimal_makespan(txs: TxSet, cfg: SchedulerConfig) -> Fraction:
     return Fraction(_optimal(sc, cfg)[0], sc.scale)
 
 
+MEMO_CAP = 1 << 15  # makespans an oracle keeps before starting afresh
+
+
 class ValueOracle:
     """Memoized access to v(T); the makespan only depends on the multiset of
     (time, keys) tuples and the thread count, so results are shared across
-    blocks."""
+    blocks.  The memo holds at most ``MEMO_CAP`` entries."""
 
     def __init__(self, cfg: SchedulerConfig):
         self.cfg = cfg
@@ -376,6 +379,8 @@ class ValueOracle:
         got = self._memo.get(key)
         if got is None:
             got = optimal_makespan(txs, self.cfg)
+            if len(self._memo) >= MEMO_CAP:
+                self._memo.clear()
             self._memo[key] = got
         return got
 

@@ -274,3 +274,25 @@ def test_unreadable_inputs_are_usage_errors(tmp_path, capsys, four_tx_block):
         code, out = run(capsys, argv)
         assert code == 2, argv
         assert one_error_line(out.err)
+
+
+@pytest.mark.parametrize("reader", ["block", "weights", "workload"])
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys, four_tx_block,
+                                             reader):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {"block": ["gas", str(deep)],
+            "weights": ["gas", four_tx_block, "--weights", str(deep)],
+            "workload": ["simulate", "--workload", str(deep)]}[reader]
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert one_error_line(out.err)
+
+
+def test_long_simulation_prints_its_base_fees(capsys):
+    # The unrounded base fee outgrew int-to-str conversion at this length.
+    code, out = run(capsys, ["simulate", "--blocks", "3500", "--seed", "7"])
+    assert code == 0
+    rows = out.out.splitlines()
+    assert len(rows) == 3501
+    assert all(len(row.split(",")[1]) <= 21 for row in rows[1:])

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paragas import (DuplicateId, EmptyKeySet, MalformedDocument,
                      NonPositiveTime, NonPositiveWeight, Transaction, TxSet,
@@ -120,6 +122,7 @@ def test_parse_block_roundtrip():
     '{"transactions": [{"id": 3, "time": 1, "keys": ["k1"]}]}',
     '{"transactions": {}}',
     '{"transactions": [], "weights": []}',
+    pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
 ])
 def test_parse_block_rejects_malformed(doc):
     with pytest.raises(MalformedDocument):
@@ -141,3 +144,22 @@ def test_transaction_identity_is_the_id():
     a2 = Transaction("a", Fraction(1), frozenset({"k1"}))
     assert a1 == a2
     assert similar(a1, a2)
+
+
+_ids = st.text(min_size=1, max_size=6)
+_keys = st.frozensets(st.text(min_size=1, max_size=4), min_size=1,
+                      max_size=4)
+_positive = st.fractions(min_value=Fraction(1, 10**6), max_denominator=10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=st.dictionaries(_ids, st.tuples(_positive, _keys), max_size=6),
+       weights=st.one_of(st.none(), st.builds(
+           WeightTable, st.dictionaries(st.text(max_size=4), _positive,
+                                        max_size=4), _positive)))
+def test_render_then_parse_round_trips(block, weights):
+    txs = TxSet(Transaction(tx_id, time, keys)
+                for tx_id, (time, keys) in block.items())
+    txs2, weights2 = parse_block(render_block(txs, weights))
+    assert txs2 == txs
+    assert weights2 == (weights or WeightTable())

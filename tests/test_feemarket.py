@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from paragas import (BaseFeeState, Bid, PricingEnv, SchedulerConfig,
+from paragas import (BASE_FEE_GRID, BaseFeeState, Bid, PricingEnv, SchedulerConfig,
                      WorkloadConfig, base_fee_update, build_block, make_bid,
                      make_transaction, simulate, workload)
 from paragas.core import MalformedDocument
@@ -167,3 +169,83 @@ def test_workload_config_parsing():
     assert cfg.time_range == (1, 2)
     with pytest.raises(MalformedDocument):
         WorkloadConfig.from_json('{"seed": 1, "bogus": 2}')
+    with pytest.raises(MalformedDocument):
+        WorkloadConfig.from_json("[" * 100_000 + "]" * 100_000)
+
+
+G = BASE_FEE_GRID
+
+
+def test_base_fee_update_rounds_down_to_the_grid():
+    # Exactly 1/3 * 9/8 = 3/8; the grid keeps floor(10^9 / 3) units and
+    # adds floor(units / 8) of them.
+    state = BaseFeeState(base_fee=Fraction(1, 3), target_gas=Fraction(10))
+    up = base_fee_update(state, Fraction(20)).base_fee
+    assert up == Fraction(333333333 + 41666666, G)
+    assert up < Fraction(3, 8)
+    down = base_fee_update(state, Fraction(0)).base_fee
+    assert down == Fraction(333333333 - 41666666, G)
+
+
+def test_base_fee_rises_by_at_least_one_unit():
+    # floor(u * d / D) is 0 here: the rise is one grid unit.
+    state = BaseFeeState(base_fee=Fraction(1, 1000),
+                         target_gas=Fraction(10**9))
+    new = base_fee_update(state, Fraction(10**9 + 1)).base_fee
+    assert new == Fraction(1, 1000) + Fraction(1, G)
+
+
+def test_off_grid_start_lands_on_grid_and_stays():
+    e = env2()
+    state0 = BaseFeeState(base_fee=Fraction(1, 3), target_gas=Fraction(10))
+    report = simulate(workload(WorkloadConfig(seed=1), 50, "current", e), 50,
+                      "current", e, state0, Fraction(20))
+    assert report.rows[0].base_fee == Fraction(1, 3)
+    for row in report.rows[1:]:
+        assert G % row.base_fee.denominator == 0
+
+
+def test_ten_thousand_blocks_stay_on_grid():
+    # The exact rational fee used to gain about 1.4 digits per block.
+    e = env2()
+    blocks = 10_000
+    report = simulate(workload(WorkloadConfig(seed=7), blocks, "current", e),
+                      blocks, "current", e, BaseFeeState(), Fraction(20))
+    fees = [row.base_fee for row in report.rows]
+    fees.append(report.final_state.base_fee)
+    assert all(G % fee.denominator == 0 for fee in fees)
+
+
+_fees = st.one_of(
+    st.integers(10**6, 10**11).map(lambda u: Fraction(u, G)),  # on the grid
+    st.fractions(Fraction(1, 1000), Fraction(100), max_denominator=10**12))
+_gas = st.fractions(Fraction(0), Fraction(60), max_denominator=1000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fee=_fees, target=st.fractions(Fraction(1, 100), Fraction(30),
+                                      max_denominator=100),
+       adj=st.integers(1, 16), gas_used=_gas)
+def test_base_fee_update_properties(fee, target, adj, gas_used):
+    state = BaseFeeState(base_fee=fee, target_gas=target,
+                         adjustment_denominator=adj)
+    new = base_fee_update(state, gas_used)
+    if gas_used == target:
+        assert new == state
+        return
+    assert new.base_fee >= state.min_base_fee
+    assert G % new.base_fee.denominator == 0
+    if gas_used > target:
+        assert new.base_fee > fee
+    else:
+        assert new.base_fee <= fee
+    assert new.target_gas == target and new.adjustment_denominator == adj
+
+
+def test_equal_prices_are_taken_in_id_order():
+    e = env2()
+    state = BaseFeeState(base_fee=Fraction(1))
+    bids = [make_bid(tx(i, 2, [f"k{i}"]), price, "current", e)
+            for i, price in (("c", 2), ("a", 2), ("d", 3), ("b", 2))]
+    result = build_block(bids, Fraction(6), "current", e, state)
+    assert result.included.ids == {"d", "a", "b"}

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from paragas import scheduler
 from paragas import (InstanceTooLarge, Schedule, SchedulerConfig, TxSet,
                      ValueOracle, check_scheduler_axioms, greedy_schedule,
                      make_transaction, makespan, optimal_makespan,
@@ -212,3 +213,13 @@ def test_value_oracle_memoizes_across_renamings():
     v2 = oracle.value(TxSet([tx("p", 2, ["k1"]), tx("q", 1, ["k1"])]))
     assert v1 == v2 == 3
     assert len(oracle._memo) == 1
+
+
+def test_value_oracle_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(scheduler, "MEMO_CAP", 3)
+    oracle = ValueOracle(N2)
+    for i in range(1, 11):
+        block = TxSet([tx("a", i, ["k1"]), tx("b", 1, ["k1"])])
+        assert oracle.value(block) == i + 1
+        assert len(oracle._memo) <= 3
+    assert oracle.value(TxSet([tx("a", 2, ["k1"]), tx("b", 1, ["k2"])])) == 2
