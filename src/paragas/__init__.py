@@ -24,9 +24,9 @@ from .render import gantt_svg, gantt_text
 from .sampling import SamplerConfig
 from .scheduler import (UNBOUNDED, InstanceTooLarge, Schedule,
                         SchedulerConfig, SubsetValueTable, ValueOracle,
-                        check_scheduler_axioms, greedy_schedule, makespan,
-                        optimal_makespan, optimal_schedule,
-                        subset_value_table, validate_schedule)
+                        greedy_schedule, makespan, optimal_makespan,
+                        optimal_schedule, subset_value_table,
+                        validate_schedule)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

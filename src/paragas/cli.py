@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .core import (BlockError, WeightTable, format_rational, load_json,
                    parse_block, to_rational)
-from .feemarket import BaseFeeState, WorkloadConfig, simulate, workload
+from .feemarket import (BaseFeeBelowFloor, BaseFeeState, WorkloadConfig,
+                        simulate, workload)
 from .gcm import MECHANISMS, TABLE_MECHANISMS, PricingEnv
 from .properties import (PROPERTIES, FixtureMismatch, property_matrix,
                          run_fixture_suite)
@@ -252,10 +253,13 @@ def cmd_simulate(args) -> int:
         wl_cfg = WorkloadConfig(seed=args.seed or 0)
     cfg = _scheduler_cfg(args.threads)
     env = PricingEnv(scheduler_cfg=cfg)
-    state0 = BaseFeeState(
-        base_fee=_positive_rational("--base-fee", args.base_fee),
-        target_gas=_positive_rational("--target", args.target),
-        adjustment_denominator=args.denominator)
+    base_fee = _positive_rational("--base-fee", args.base_fee)
+    target = _positive_rational("--target", args.target)
+    try:
+        state0 = BaseFeeState(base_fee=base_fee, target_gas=target,
+                              adjustment_denominator=args.denominator)
+    except BaseFeeBelowFloor as exc:
+        raise UsageError(f"--base-fee: {exc}")
     gas_limit = _positive_rational("--gas-limit", args.gas_limit)
     stream = workload(wl_cfg, args.blocks, args.mech, env)
     report = simulate(stream, args.blocks, args.mech, env, state0, gas_limit)

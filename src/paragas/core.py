@@ -184,15 +184,6 @@ class TxSet:
         return tuple(sorted(tx.tuple_key() for tx in self.txs))
 
 
-def fresh_key(used: Iterable[str], prefix: str = "k") -> str:
-    """Mint a storage key outside the given set (the key universe is unbounded)."""
-    used = set(used)
-    i = 0
-    while f"{prefix}!{i}" in used:
-        i += 1
-    return f"{prefix}!{i}"
-
-
 @dataclass(frozen=True)
 class WeightTable:
     """Positive per-key weights; keys absent from the map get default_weight."""

@@ -8,7 +8,7 @@ The base fee lives on a grid of ``BASE_FEE_GRID`` units per price unit and
 moves by EIP-1559's integer rule (https://eips.ethereum.org/EIPS/eip-1559),
 so it stays a rational with a denominator dividing the grid however long
 the run.  A starting fee off the grid is taken as given and lands on the
-grid at its first update.
+grid at its first update; one below ``min_base_fee`` is refused.
 
 For mechanisms whose gas depends on the rest of the block, the declared gas
 of a bid is an estimate (the transaction priced alone in an otherwise empty
@@ -50,6 +50,10 @@ def make_bid(tx: Transaction, max_price_per_gas, mech: str,
     return Bid(tx, to_rational(max_price_per_gas), declared)
 
 
+class BaseFeeBelowFloor(ValueError):
+    """A base fee under ``min_base_fee``, which no update could reach."""
+
+
 @dataclass(frozen=True)
 class BaseFeeState:
     base_fee: Fraction = Fraction(1)
@@ -64,6 +68,10 @@ class BaseFeeState:
             raise ValueError("adjustment_denominator must be >= 1")
         if self.min_base_fee <= 0:
             raise ValueError("min_base_fee must be > 0")
+        if self.base_fee < self.min_base_fee:
+            raise BaseFeeBelowFloor(
+                f"base fee {format_rational(self.base_fee)} is below the "
+                f"minimum base fee {format_rational(self.min_base_fee)}")
 
 
 BASE_FEE_GRID = 10**9  # base-fee units per price unit (wei per gwei)

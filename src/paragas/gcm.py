@@ -79,13 +79,15 @@ class BlockPrices(NamedTuple):
 
 
 def block_prices(block: TxSet, vtable: SubsetValueTable) -> BlockPrices:
-    """Prices of the whole block from one sweep over its subset table,
-    cached on the table.
+    """Prices of the whole block from the integer marginal sums by
+    coalition size, cached on the table.
 
-    For every transaction i the sweep sums the integer marginals
-    v(S + i) - v(S) over the coalitions S without i, by size |S|.  Shapley
-    weights size s by s!(n - s - 1)!/n!, Banzhaf weights every coalition by
-    1/2^(n-1); both divide by the table's scale once at the end.
+    ``subset_value_table`` records the sums while it fills the table, which
+    is monotone by construction (v(S) >= max_i v(S - i)); for any other
+    table they come from one sweep over it that checks monotonicity.
+    Shapley weights size s by s!(n - s - 1)!/n!, Banzhaf weights every
+    coalition by 1/2^(n-1); both divide by the table's scale once at the
+    end.
     """
     if vtable.base != block or not vtable.full:
         raise MissingVTable("a full subset-value table for the block is "
@@ -93,8 +95,28 @@ def block_prices(block: TxSet, vtable: SubsetValueTable) -> BlockPrices:
     if vtable.prices is not None:
         return vtable.prices
     n = len(block)
-    v = vtable.scaled
-    sums = [[0] * n for _ in range(n)]  # sums[i][s]: coalitions of size s
+    sums = vtable.marginal_sums
+    if sums is None:
+        sums = _marginal_sums(block, vtable.scaled)
+    weights = [factorial(s) * factorial(n - s - 1) for s in range(n)]
+    shapley_den = factorial(n) * vtable.scale
+    banzhaf_den = (1 << max(n - 1, 0)) * vtable.scale
+    shapley, banzhaf = {}, {}
+    for tx, by_size in zip(block, sums):
+        shapley[tx.tx_id] = Fraction(
+            sum(w * m for w, m in zip(weights, by_size)), shapley_den)
+        banzhaf[tx.tx_id] = Fraction(sum(by_size), banzhaf_den)
+    vtable.prices = BlockPrices(
+        shapley, banzhaf, Fraction(sum(map(sum, sums)), banzhaf_den))
+    return vtable.prices
+
+
+def _marginal_sums(block: TxSet, v) -> list:
+    """sums[i][s]: the integer marginals v(S + i) - v(S) over the
+    coalitions S of size s without i, by one sweep over the table ``v``,
+    which must be monotone."""
+    n = len(block)
+    sums = [[0] * n for _ in range(n)]
     full = (1 << n) - 1
     for mask in range(full + 1):
         size = mask.bit_count()
@@ -110,17 +132,7 @@ def block_prices(block: TxSet, vtable: SubsetValueTable) -> BlockPrices:
                     f"marginal of {block.txs[i].tx_id!r} to a coalition of "
                     f"{size} is negative: v is not monotone")
             sums[i][size] += marginal
-    weights = [factorial(s) * factorial(n - s - 1) for s in range(n)]
-    shapley_den = factorial(n) * vtable.scale
-    banzhaf_den = (1 << max(n - 1, 0)) * vtable.scale
-    shapley, banzhaf = {}, {}
-    for tx, by_size in zip(block, sums):
-        shapley[tx.tx_id] = Fraction(
-            sum(w * m for w, m in zip(weights, by_size)), shapley_den)
-        banzhaf[tx.tx_id] = Fraction(sum(by_size), banzhaf_den)
-    vtable.prices = BlockPrices(
-        shapley, banzhaf, Fraction(sum(map(sum, sums)), banzhaf_den))
-    return vtable.prices
+    return sums
 
 
 def gas_shapley(block: TxSet, tx: Transaction,

@@ -30,6 +30,28 @@ incumbent reaches lb, since no schedule can beat a lower bound.  The search
 also prunes a node at clock c with transactions R not yet started when
 c + v(R) reaches the incumbent: R is a proper subset of S, so v(R) is
 already in the table, and R's transactions all start at c or later.
+
+Components.  With unbounded threads, a subset S that splits into parts C
+and S - C sharing no key runs each part on its own, so
+v(S) = max(v(C), v(S - C)), both already in the table.  C is grown from
+the lowest transaction of S along shared keys; the rule is tried before
+any other bound.
+
+Coalition sums.  While the fill reads v(S - i) for each i in S it adds it
+to out(|S| - 1, i), the sum of v(U) over the sets U of that size without
+i, and then adds v(S) to by_size(|S|).  The sum of the marginals
+v(S + i) - v(S) over the coalitions S of size s without i is then
+  by_size(s + 1) - out(s + 1, i) - out(s, i)   (out(n, i) = 0),
+since the sets of size s + 1 with i are all sets of that size less those
+without i.  The gcm module prices a block from these sums.
+
+Whole blocks.  ``optimal_makespan`` and ``optimal_schedule`` run the search
+on the whole block with a budget of 2^|T| nodes.  If it runs out, they fill
+the table instead and read v(T) from it; for the starts, the search reruns
+from the greedy incumbent with floor v(T) and the table's c + v(R) cut.
+It returns the same schedule as the plain search: both return the first
+optimal schedule in depth-first order, and while the incumbent is above
+v(T) no bound cuts the branch that leads to it.
 """
 from __future__ import annotations
 
@@ -37,9 +59,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable
 
-from .core import Transaction, TxSet, concatenate, fresh_key
+from .core import TxSet
 
 UNBOUNDED = None
 
@@ -159,6 +180,12 @@ class _Scaled:
             self.masks.append(mask)
         self.nkeys = len(index)
 
+    def longest_first(self) -> list:
+        """Every index, longest time first (ties by index): the list order
+        of the greedy schedule."""
+        times = self.times
+        return sorted(range(len(times)), key=lambda i: (-times[i], i))
+
     def schedule(self, starts: dict) -> Schedule:
         """The Schedule whose transaction i starts at ``starts[i]``."""
         txs = self.txs.txs
@@ -184,12 +211,12 @@ class _Scaled:
         return lb
 
 
-def _greedy(sc: _Scaled, threads: int | None, items) -> tuple[int, dict]:
-    """The list schedule of ``items``: longest time first (ties by id); at
-    each event time start every eligible transaction in list order.
-    Returns its makespan and its starts by index."""
+def _greedy(sc: _Scaled, threads: int | None, pending: list) -> tuple[int, dict]:
+    """The list schedule of ``pending``, given longest time first (ties by
+    id, as ``longest_first`` orders them): at each event time start every
+    eligible transaction in list order.  Returns its makespan and its
+    starts by index."""
     times, masks = sc.times, sc.masks
-    pending = sorted(items, key=lambda i: (-times[i], i))
     starts: dict[int, int] = {}
     running: list[tuple[int, int]] = []  # (end, i)
     clock = span = 0
@@ -220,22 +247,28 @@ def greedy_schedule(txs: TxSet, cfg: SchedulerConfig) -> Schedule:
     if not len(txs):
         return Schedule(txs, {})
     sc = _Scaled(txs)
-    return sc.schedule(_greedy(sc, cfg.threads, range(len(txs)))[1])
+    return sc.schedule(_greedy(sc, cfg.threads, sc.longest_first())[1])
 
 
 class _Reached(Exception):
     """The incumbent met the lower bound, so nothing can beat it."""
 
 
+class _OverBudget(Exception):
+    """The search visited more nodes than its budget allows."""
+
+
 def _search(sc: _Scaled, threads: int | None, items, best: int, floor: int,
-            below: list | None = None) -> tuple[int, tuple | None]:
+            below: list | None = None,
+            budget: int | None = None) -> tuple[int, tuple | None]:
     """Branch and bound over active schedules of the transactions ``items``
     (indices in id order), seeded with an achievable makespan ``best`` and
     stopped once the incumbent reaches the lower bound ``floor``.
 
     ``below``, if given, holds v(R) (scaled) for every proper subset R of
     ``items`` by bit mask: the transactions left at time c start at or
-    after c, so c + v(R) bounds any completion.
+    after c, so c + v(R) bounds any completion.  With a ``budget``, the
+    search raises _OverBudget on visiting more nodes than that.
 
     Returns the least makespan and, if it beats ``best``, its starts as a
     linked list ``((batch, start), rest)`` of transactions started
@@ -243,6 +276,7 @@ def _search(sc: _Scaled, threads: int | None, items, best: int, floor: int,
     """
     times, keys, masks, nkeys = sc.times, sc.keys, sc.masks, sc.nkeys
     found: list = [best, None]
+    visited = [0]
 
     def lower_bound(clock: int, running: list, remaining: list) -> int:
         lb = clock
@@ -281,6 +315,10 @@ def _search(sc: _Scaled, threads: int | None, items, best: int, floor: int,
 
     def recurse(clock: int, running: list, remaining: list, left: int,
                 starts, reached: int) -> None:
+        if budget is not None:
+            visited[0] += 1
+            if visited[0] > budget:
+                raise _OverBudget
         if lower_bound(clock, running, remaining) >= found[0]:
             return
         locked = 0
@@ -331,18 +369,28 @@ def _search(sc: _Scaled, threads: int | None, items, best: int, floor: int,
     return found[0], found[1]
 
 
-def _optimal(sc: _Scaled, cfg: SchedulerConfig) -> tuple[int, dict]:
+def _optimal(sc: _Scaled, cfg: SchedulerConfig,
+             want_starts: bool = True) -> tuple[int, dict]:
     """Least scaled makespan of the whole block and starts achieving it:
-    the greedy schedule unless the search beats it."""
-    if len(sc.times) > cfg.instance_cap:
+    the greedy schedule unless the search beats it.  Without
+    ``want_starts`` the starts may be the greedy ones when the search
+    falls back to the lattice."""
+    n, threads = len(sc.times), cfg.threads
+    if n > cfg.instance_cap:
         raise InstanceTooLarge(
-            f"|T| = {len(sc.times)} exceeds instance cap {cfg.instance_cap}")
-    if not sc.times:
+            f"|T| = {n} exceeds instance cap {cfg.instance_cap}")
+    if not n:
         return 0, {}
-    items = range(len(sc.times))
-    incumbent, starts = _greedy(sc, cfg.threads, items)
-    best, found = _search(sc, cfg.threads, items, incumbent,
-                          sc.static_bound(items, cfg.threads))
+    items = range(n)
+    incumbent, starts = _greedy(sc, threads, sc.longest_first())
+    try:
+        best, found = _search(sc, threads, items, incumbent,
+                              sc.static_bound(items, threads), budget=1 << n)
+    except _OverBudget:
+        v = _fill(sc, threads)[0]
+        best, found = v[-1], None
+        if want_starts and best < incumbent:
+            found = _search(sc, threads, items, incumbent, best, v)[1]
     if found is not None:
         starts = {}
         while found is not None:
@@ -359,7 +407,7 @@ def optimal_schedule(txs: TxSet, cfg: SchedulerConfig) -> Schedule:
 def optimal_makespan(txs: TxSet, cfg: SchedulerConfig) -> Fraction:
     """v(T): the exact minimum makespan over all valid schedules."""
     sc = _Scaled(txs)
-    return Fraction(_optimal(sc, cfg)[0], sc.scale)
+    return Fraction(_optimal(sc, cfg, want_starts=False)[0], sc.scale)
 
 
 MEMO_CAP = 1 << 15  # makespans an oracle keeps before starting afresh
@@ -392,14 +440,19 @@ class SubsetValueTable:
     i-th transaction of ``base`` in id order.  A table from
     ``subset_value_table`` holds every mask; one from ``whole`` holds only
     the full block.  ``values`` reads the same numbers keyed by frozensets
-    of ids.  ``prices`` is left for the gcm module to cache the block's
-    Shapley and Banzhaf prices in.
+    of ids.  ``marginal_sums[i][s]``, recorded by ``subset_value_table``
+    (None on other tables), is the sum of the scaled marginals
+    v(S + i) - v(S) over the coalitions S of size s without i.  ``prices``
+    is left for the gcm module to cache the block's Shapley and Banzhaf
+    prices in.
     """
 
-    def __init__(self, base: TxSet, scale: int, scaled: dict):
+    def __init__(self, base: TxSet, scale: int, scaled: dict,
+                 marginal_sums: list | None = None):
         self.base = base
         self.scale = scale
         self.scaled = scaled
+        self.marginal_sums = marginal_sums
         self.prices = None
         self._bit = {tx.tx_id: 1 << i for i, tx in enumerate(base)}
 
@@ -450,78 +503,63 @@ def subset_value_table(txs: TxSet, cfg: SchedulerConfig) -> SubsetValueTable:
         raise InstanceTooLarge(
             f"|T| = {len(txs)} exceeds instance cap {cfg.instance_cap}")
     sc = _Scaled(txs)
-    times, threads, n = sc.times, cfg.threads, len(txs)
+    v, sums = _fill(sc, cfg.threads)
+    return SubsetValueTable(txs, sc.scale, dict(enumerate(v)), sums)
+
+
+def _fill(sc: _Scaled, threads: int | None) -> tuple[list, list]:
+    """Scaled v(S) for every mask S, in mask order, and the marginal sums
+    of ``SubsetValueTable`` recorded on the way; see the module docstring."""
+    times, masks, n = sc.times, sc.masks, len(sc.times)
+    total, order = sum(times), sc.longest_first()
+    # neighbours[i]: the transactions that share a key with i, as a mask.
+    neighbours = [sum(1 << j for j in range(n)
+                      if j != i and masks[i] & masks[j]) for i in range(n)]
     v = [0] * (1 << n)
+    # outside[s][i]: the sum of v(U) over the sets U of size s without i.
+    outside = [[0] * n for _ in range(n + 1)]
+    by_size = [0] * (n + 1)  # by_size[s]: the sum of v(S) over |S| = s
     for mask in range(1, 1 << n):
-        lb, ub, rest = 0, None, mask
+        size = mask.bit_count()
+        out = outside[size - 1]
+        lb, ub, rest = 0, total, mask
         while rest:
             bit = rest & -rest
             rest ^= bit
+            i = bit.bit_length() - 1
             without = v[mask ^ bit]
+            out[i] += without
             if without > lb:
                 lb = without
-            top = without + times[bit.bit_length() - 1]
-            if ub is None or top < ub:
+            top = without + times[i]
+            if top < ub:
                 ub = top
+        if lb < ub and threads is None:
+            part = _component(mask, neighbours)
+            if part != mask:
+                lb = ub = max(v[part], v[mask ^ part])
         if lb < ub:
-            items = [i for i in range(n) if mask >> i & 1]
+            items = [i for i in order if mask >> i & 1]
             lb = max(lb, sc.static_bound(items, threads))
             if lb < ub:
                 ub = min(ub, _greedy(sc, threads, items)[0])
             if lb < ub:
-                ub = _search(sc, threads, items, ub, lb, v)[0]
+                ub = _search(sc, threads, sorted(items), ub, lb, v)[0]
         v[mask] = ub
-    return SubsetValueTable(txs, sc.scale, dict(enumerate(v)))
+        by_size[size] += ub
+    sums = [[by_size[s + 1] - outside[s + 1][i] - outside[s][i]
+             for s in range(n)] for i in range(n)]
+    return v, sums
 
 
-@dataclass(frozen=True)
-class AxiomWitness:
-    axiom: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    trials: int
-    passed: bool
-    witnesses: tuple[AxiomWitness, ...]
-
-
-def check_scheduler_axioms(value_fn: Callable[[TxSet], Fraction],
-                           sampler: Callable[[int], tuple[TxSet, Transaction, Transaction]],
-                           trials: int) -> AxiomReport:
-    """Checks S1 (monotone in T), S2 (monotone under bundling), S3 (monotone
-    under the (t, K) preorder) and S4 (empty set) on sampled instances.
-
-    ``sampler(i)`` must return a deterministic (T, tx1, tx2) with tx1, tx2
-    not in T and distinct ids.
-    """
-    witnesses: list[AxiomWitness] = []
-    if value_fn(TxSet()) != 0:
-        witnesses.append(AxiomWitness("S4", "v(empty) != 0"))
-    for i in range(trials):
-        base, tx1, tx2 = sampler(i)
-        with_tx1 = base.with_txs(tx1)
-        with_both = base.with_txs(tx1, tx2)
-        # S1: T subset T' implies v(T) <= v(T')
-        if not (value_fn(base) <= value_fn(with_tx1) <= value_fn(with_both)):
-            witnesses.append(AxiomWitness(
-                "S1", f"trial {i}: v not monotone under set growth"))
-            break
-        # S2: bundling two transactions never makes scheduling easier
-        bundle_id = "bundle!" + tx1.tx_id + "+" + tx2.tx_id
-        tx3 = concatenate(tx1, tx2, bundle_id)
-        if value_fn(with_both) > value_fn(base.with_txs(tx3)):
-            witnesses.append(AxiomWitness(
-                "S2", f"trial {i}: v({{tx1,tx2}}) > v({{concat}})"))
-            break
-        # S3: replace tx1 by a dominating transaction (same time or larger,
-        # superset of keys) and v must not decrease.
-        bigger = Transaction("big!" + tx1.tx_id, tx1.time + tx2.time,
-                             tx1.keys | tx2.keys |
-                             {fresh_key(base.all_keys() | tx1.keys | tx2.keys)})
-        if value_fn(with_tx1) > value_fn(base.with_txs(bigger)):
-            witnesses.append(AxiomWitness(
-                "S3", f"trial {i}: v decreased under dominating replacement"))
-            break
-    return AxiomReport(trials, not witnesses, tuple(witnesses))
+def _component(mask: int, neighbours: list) -> int:
+    """The transactions of ``mask`` linked to its lowest one by chains of
+    shared keys, as a mask."""
+    part = todo = mask & -mask
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        new = neighbours[bit.bit_length() - 1] & mask & ~part
+        part |= new
+        todo |= new
+    return part

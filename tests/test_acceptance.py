@@ -11,7 +11,7 @@ from fractions import Fraction
 from paragas import (BaseFeeState, PricingEnv, SamplerConfig, SchedulerConfig,
                      TxSet, WorkloadConfig, base_fee_update,
                      check_lemma_consistency, check_property,
-                     check_scheduler_axioms, greedy_schedule, known_violations,
+                     greedy_schedule, known_violations,
                      load_expected_matrix, make_transaction, makespan,
                      optimal_makespan, optimal_schedule, property_matrix,
                      run_fixture_suite, simulate, subset_value_table,
@@ -20,6 +20,7 @@ from paragas.gcm import EASY_ESTIMATION, gas_shapley
 from paragas.properties import VIOLATED
 from paragas.sampling import rng_for, sample_transaction, sample_txset
 
+from axioms import check_scheduler_axioms
 from exhaustive import shapley_permutation
 
 N2 = SchedulerConfig(threads=2)

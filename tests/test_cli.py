@@ -1,12 +1,19 @@
 import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from paragas import Schedule, cli
+from paragas import Schedule, cli, render_block
 from paragas.cli import main
+from paragas.sampling import SamplerConfig, sample_txset
 from paragas.scheduler import InvalidSchedule
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -296,3 +303,45 @@ def test_long_simulation_prints_its_base_fees(capsys):
     rows = out.out.splitlines()
     assert len(rows) == 3501
     assert all(len(row.split(",")[1]) <= 21 for row in rows[1:])
+
+
+def test_simulate_rejects_a_base_fee_below_the_floor(capsys):
+    # The first update would lift 1/100000 to the 1/1000 floor whatever
+    # the demand, moving the fee away from the target.
+    code, out = run(capsys, ["simulate", "--blocks", "3", "--base-fee",
+                             "1/100000", "--target", "100", "--gas-limit",
+                             "200"])
+    assert code == 2
+    assert out.out == ""
+    assert one_error_line(out.err)
+    code, out = run(capsys, ["simulate", "--blocks", "3", "--base-fee",
+                             "1/1000", "--target", "100", "--gas-limit",
+                             "200"])
+    assert code == 0
+    assert out.out.splitlines()[1].startswith("0,1/1000,")
+
+
+@pytest.mark.parametrize("argv", [["schedule"], ["gas", "--mech", "tpm"]])
+def test_hard_block_answers_within_a_hang_guard(tmp_path, argv):
+    # 12 transactions on 6 keys at 3 threads: the whole-block branch and
+    # bound alone runs for many seconds here, while the subset lattice of
+    # the block fills in milliseconds.  The timeout guards against a hang;
+    # it is not a speed gate.
+    txs = sample_txset(random.Random(3),
+                       SamplerConfig(key_pool=6, time_range=(1, 12)), 12)
+    path = tmp_path / "hard.json"
+    path.write_text(render_block(txs))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "paragas.cli", argv[0], str(path), *argv[1:],
+         "--threads", "3"], capture_output=True, text=True, env=env,
+        timeout=8)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    if argv[0] == "schedule":
+        assert doc["makespan"] == "53"
+        assert doc["validity"]["valid"] is True
+    else:
+        assert doc["block_value"] == "53"

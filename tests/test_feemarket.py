@@ -8,6 +8,7 @@ from paragas import (BASE_FEE_GRID, BaseFeeState, Bid, PricingEnv, SchedulerConf
                      WorkloadConfig, base_fee_update, build_block, make_bid,
                      make_transaction, simulate, workload)
 from paragas.core import MalformedDocument
+from paragas.feemarket import BaseFeeBelowFloor
 
 N2 = SchedulerConfig(threads=2)
 
@@ -105,6 +106,15 @@ def test_base_fee_floor():
     state = BaseFeeState(base_fee=Fraction(1, 900),
                          min_base_fee=Fraction(1, 1000))
     assert base_fee_update(state, Fraction(0)).base_fee == Fraction(1, 1000)
+
+
+def test_starting_base_fee_below_the_floor_is_refused():
+    with pytest.raises(BaseFeeBelowFloor):
+        BaseFeeState(base_fee=Fraction(1, 100000))
+    with pytest.raises(BaseFeeBelowFloor):
+        BaseFeeState(base_fee=Fraction(1, 2), min_base_fee=Fraction(1))
+    at_floor = BaseFeeState(base_fee=Fraction(1, 1000))
+    assert base_fee_update(at_floor, Fraction(0)) == at_floor
 
 
 def test_zero_demand_decays_by_seven_eighths():

@@ -1,0 +1,113 @@
+"""Property tests of the subset-value table on random blocks.
+
+Blocks have 2-8 transactions with times k/1, k/2 or k/3, drawn from a key
+pool of 2 (dense conflicts), 5 or 10 (sparse, so that subsets often split
+into conflict-free parts and the component rule decides them), at 2, 3 or
+unbounded threads.  The unpruned enumeration of ``exhaustive.py`` takes
+seconds on 7 transactions, so it checks blocks of at most 6.
+"""
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from paragas import (SchedulerConfig, SubsetValueTable, TxSet,
+                     make_transaction, optimal_schedule, scheduler,
+                     subset_value_table, validate_schedule)
+from paragas.gcm import block_prices
+
+from exhaustive import exhaustive_makespan
+
+threads_st = st.sampled_from((2, 3, None))
+
+
+@st.composite
+def blocks(draw, max_txs=8):
+    pool = draw(st.sampled_from((2, 5, 10)))
+    den = draw(st.sampled_from((1, 2, 3)))
+    txs = []
+    for i in range(draw(st.integers(2, max_txs))):
+        keys = draw(st.sets(st.integers(1, pool), min_size=1, max_size=3))
+        txs.append(make_transaction(f"t{i}", Fraction(draw(st.integers(1, 6)),
+                                                      den),
+                                    [f"k{k}" for k in keys]))
+    return TxSet(txs)
+
+
+def searched(block, threads, items):
+    """v of the transactions ``items`` (scaled) by the plain branch and
+    bound: greedy incumbent, static lower bound, no table and no budget."""
+    sc = scheduler._Scaled(block)
+    incumbent = scheduler._greedy(
+        sc, threads, [i for i in sc.longest_first() if i in items])[0]
+    return scheduler._search(sc, threads, items, incumbent,
+                             sc.static_bound(items, threads))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=blocks(max_txs=6), threads=threads_st)
+def test_every_entry_is_the_exhaustive_makespan(block, threads):
+    table = subset_value_table(block, SchedulerConfig(threads=threads))
+    for ids, v in table.values.items():
+        assert v == exhaustive_makespan(block.subset(ids), threads), \
+            sorted(ids)
+
+
+@settings(max_examples=100, deadline=None)
+@given(block=blocks(), threads=threads_st)
+def test_every_entry_is_the_searched_makespan(block, threads):
+    table = subset_value_table(block, SchedulerConfig(threads=threads))
+    n = len(block)
+    for mask in range(1, 1 << n):
+        items = [i for i in range(n) if mask >> i & 1]
+        assert table.scaled[mask] == searched(block, threads, items), mask
+
+
+@settings(max_examples=100, deadline=None)
+@given(block=blocks(), threads=threads_st)
+def test_adding_a_transaction_costs_between_nothing_and_its_time(block,
+                                                                 threads):
+    table = subset_value_table(block, SchedulerConfig(threads=threads))
+    for ids, v in table.values.items():
+        for tx in block:
+            if tx.tx_id not in ids:
+                assert v <= table.value(ids | {tx.tx_id}) <= v + tx.time
+
+
+@settings(max_examples=100, deadline=None)
+@given(block=blocks(), threads=threads_st)
+def test_recorded_sums_price_like_the_sweep(block, threads):
+    table = subset_value_table(block, SchedulerConfig(threads=threads))
+    assert table.marginal_sums is not None
+    swept = SubsetValueTable(block, table.scale, table.scaled)
+    assert block_prices(block, table) == block_prices(block, swept)
+
+
+@settings(max_examples=100, deadline=None)
+@given(block=blocks(), threads=threads_st)
+def test_lattice_fallback_gives_the_searched_schedule(block, threads):
+    cfg = SchedulerConfig(threads=threads)
+    table = subset_value_table(block, cfg)
+    items = range(len(block))
+    assert table.scaled[(1 << len(block)) - 1] == \
+        searched(block, threads, items)
+
+    search = scheduler._search
+
+    def unbudgeted(*args, budget=None, **kwargs):
+        return search(*args, **kwargs)
+
+    def exhausted(*args, budget=None, **kwargs):
+        if budget is not None:
+            raise scheduler._OverBudget
+        return search(*args, **kwargs)
+
+    with mock.patch.object(scheduler, "_search", unbudgeted):
+        plain = optimal_schedule(block, cfg)
+    with mock.patch.object(scheduler, "_search", exhausted):
+        fallback = optimal_schedule(block, cfg)
+        assert scheduler.optimal_makespan(block, cfg) == \
+            table.value(block.ids)
+    assert fallback.starts == plain.starts
+    assert validate_schedule(fallback, block, cfg).valid

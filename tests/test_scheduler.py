@@ -4,12 +4,13 @@ import pytest
 
 from paragas import scheduler
 from paragas import (InstanceTooLarge, Schedule, SchedulerConfig, TxSet,
-                     ValueOracle, check_scheduler_axioms, greedy_schedule,
-                     make_transaction, makespan, optimal_makespan,
-                     optimal_schedule, subset_value_table, validate_schedule)
+                     ValueOracle, greedy_schedule, make_transaction, makespan,
+                     optimal_makespan, optimal_schedule, subset_value_table,
+                     validate_schedule)
 from paragas.sampling import SamplerConfig, rng_for, sample_transaction, \
     sample_txset
 
+from axioms import check_scheduler_axioms
 from exhaustive import exhaustive_makespan
 
 N2 = SchedulerConfig(threads=2)
