@@ -17,8 +17,8 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .core import (BlockError, WeightTable, format_rational, load_json,
-                   parse_block, to_rational)
+from .core import (BlockError, WeightTable, format_approx, format_rational,
+                   load_json, parse_block, to_rational)
 from .feemarket import (BaseFeeBelowFloor, BaseFeeState, WorkloadConfig,
                         simulate, workload)
 from .gcm import MECHANISMS, TABLE_MECHANISMS, PricingEnv
@@ -138,7 +138,7 @@ def cmd_gas(args) -> int:
         print(f"mechanism {args.mech}, threads {_threads_label(args.threads)}"
               f", block {args.block}")
         for tx_id, g in sorted(per_tx.items()):
-            print(f"  {tx_id}: {format_rational(g)} (~{float(g):g})")
+            print(f"  {tx_id}: {format_rational(g)} (~{format_approx(g)})")
         print(f"total {format_rational(total)}, "
               f"v(T) = {format_rational(v)}")
     return EXIT_OK

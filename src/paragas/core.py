@@ -9,7 +9,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping
 
 
 class BlockError(ValueError):
@@ -60,6 +60,18 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+def format_approx(value: Fraction) -> str:
+    """A rational to 6 significant digits for display, as ``f"{x:g}"``
+    prints the float x, also when it is too large for a float."""
+    try:
+        return f"{float(value):g}"
+    except OverflowError:
+        from decimal import Context, Decimal
+        rounded = Context(prec=6).divide(Decimal(value.numerator),
+                                         Decimal(value.denominator))
+        return f"{rounded.normalize():g}"
+
+
 @dataclass(frozen=True)
 class Transaction:
     """A transaction abstracted to (execution time, locked storage keys).
@@ -90,19 +102,6 @@ def make_transaction(tx_id: str, time: int | str | Fraction,
 def similar(tx1: Transaction, tx2: Transaction) -> bool:
     """Whether the two transactions have equal (time, keys) tuples."""
     return tx1.time == tx2.time and tx1.keys == tx2.keys
-
-
-class Dominance(NamedTuple):
-    less_or_similar: bool
-    similar: bool
-
-
-def dominates(tx1: Transaction, tx2: Transaction) -> Dominance:
-    """tx1 precedes tx2 in the (time, keys) preorder: t1 <= t2 and K1 <= K2."""
-    return Dominance(
-        less_or_similar=tx1.time <= tx2.time and tx1.keys <= tx2.keys,
-        similar=similar(tx1, tx2),
-    )
 
 
 def concatenate(tx1: Transaction, tx2: Transaction, tx_id: str) -> Transaction:

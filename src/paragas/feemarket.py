@@ -27,7 +27,7 @@ from fractions import Fraction
 from .core import (MalformedDocument, Transaction, TxSet, format_rational,
                    load_json, to_rational)
 from .gcm import PricingEnv
-from .sampling import rng_for
+from .sampling import draw_keys, rng_for
 
 
 @dataclass(frozen=True)
@@ -200,12 +200,11 @@ class WorkloadConfig:
 def workload(cfg: WorkloadConfig, blocks: int, mech: str, env: PricingEnv):
     """Deterministic bid stream: one list of bids per block."""
     rng = rng_for(cfg, "workload")
-    pool = [f"k{j}" for j in range(1, cfg.key_pool + 1)]
     for block_index in range(blocks):
         bids = []
         for i in range(cfg.bids_per_block):
-            keys = frozenset(rng.sample(pool,
-                                        rng.randint(1, cfg.max_keys_per_tx)))
+            keys = draw_keys(rng, cfg.key_pool,
+                             rng.randint(1, cfg.max_keys_per_tx))
             tx = Transaction(f"b{block_index}_{i}",
                              Fraction(rng.randint(*cfg.time_range)), keys)
             price = Fraction(rng.randint(*cfg.price_range),

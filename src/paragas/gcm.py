@@ -44,10 +44,6 @@ class NormalizationUndefined(ValueError):
     pass
 
 
-class NonMonotoneValue(ValueError):
-    """A marginal contribution v(S + i) - v(S) is negative."""
-
-
 def _require_member(block: TxSet, tx: Transaction) -> None:
     if tx.tx_id not in block or block.get(tx.tx_id) != tx:
         raise TxNotInSet(f"transaction {tx.tx_id!r} is not in the block")
@@ -82,22 +78,19 @@ def block_prices(block: TxSet, vtable: SubsetValueTable) -> BlockPrices:
     """Prices of the whole block from the integer marginal sums by
     coalition size, cached on the table.
 
-    ``subset_value_table`` records the sums while it fills the table, which
-    is monotone by construction (v(S) >= max_i v(S - i)); for any other
-    table they come from one sweep over it that checks monotonicity.
-    Shapley weights size s by s!(n - s - 1)!/n!, Banzhaf weights every
-    coalition by 1/2^(n-1); both divide by the table's scale once at the
-    end.
+    The sums are the ones ``subset_value_table`` records while it fills the
+    table; a table without them (one from ``SubsetValueTable.whole``, or
+    built by hand) is refused.  Shapley weights size s by s!(n - s - 1)!/n!,
+    Banzhaf weights every coalition by 1/2^(n-1); both divide by the
+    table's scale once at the end.
     """
-    if vtable.base != block or not vtable.full:
-        raise MissingVTable("a full subset-value table for the block is "
-                            "required")
+    sums = vtable.marginal_sums
+    if vtable.base != block or sums is None:
+        raise MissingVTable("a subset-value table of the block from "
+                            "subset_value_table is required")
     if vtable.prices is not None:
         return vtable.prices
     n = len(block)
-    sums = vtable.marginal_sums
-    if sums is None:
-        sums = _marginal_sums(block, vtable.scaled)
     weights = [factorial(s) * factorial(n - s - 1) for s in range(n)]
     shapley_den = factorial(n) * vtable.scale
     banzhaf_den = (1 << max(n - 1, 0)) * vtable.scale
@@ -109,30 +102,6 @@ def block_prices(block: TxSet, vtable: SubsetValueTable) -> BlockPrices:
     vtable.prices = BlockPrices(
         shapley, banzhaf, Fraction(sum(map(sum, sums)), banzhaf_den))
     return vtable.prices
-
-
-def _marginal_sums(block: TxSet, v) -> list:
-    """sums[i][s]: the integer marginals v(S + i) - v(S) over the
-    coalitions S of size s without i, by one sweep over the table ``v``,
-    which must be monotone."""
-    n = len(block)
-    sums = [[0] * n for _ in range(n)]
-    full = (1 << n) - 1
-    for mask in range(full + 1):
-        size = mask.bit_count()
-        here = v[mask]
-        free = full ^ mask
-        while free:
-            bit = free & -free
-            free ^= bit
-            marginal = v[mask | bit] - here
-            i = bit.bit_length() - 1
-            if marginal < 0:
-                raise NonMonotoneValue(
-                    f"marginal of {block.txs[i].tx_id!r} to a coalition of "
-                    f"{size} is negative: v is not monotone")
-            sums[i][size] += marginal
-    return sums
 
 
 def gas_shapley(block: TxSet, tx: Transaction,

@@ -36,10 +36,6 @@ class FixtureMismatch(AssertionError):
     pass
 
 
-class MatrixMismatch(AssertionError):
-    pass
-
-
 @dataclass(frozen=True)
 class CheckOutcome:
     verdict: str
@@ -689,12 +685,6 @@ class MatrixReport:
     def ok(self) -> bool:
         return not self.mismatches
 
-    def raise_on_mismatch(self) -> None:
-        if self.mismatches:
-            raise MatrixMismatch("; ".join(
-                f"{mech}/{prop}: computed {got} != expected {want}"
-                for mech, prop, got, want in self.mismatches))
-
 
 def load_expected_matrix() -> dict:
     with resources.files("paragas.data").joinpath(
@@ -720,90 +710,3 @@ def property_matrix(mechs: Iterable[str] = TABLE_MECHANISMS,
             if want is not None and cell.symbol != want:
                 mismatches.append((mech, prop, cell.symbol, want))
     return MatrixReport(cfg, budget, cells, tuple(mismatches))
-
-
-_SYMBOL_TEXT = {"x": "✗", "<": "<", "<=": "≤", "=": "=", "yes": "✓"}
-
-
-def render_matrix_text(report: MatrixReport) -> str:
-    mechs = sorted({mech for mech, _ in report.cells})
-    mechs = [m for m in TABLE_MECHANISMS if m in mechs] + \
-        [m for m in mechs if m not in TABLE_MECHANISMS]
-    width = max(len(p) for p in PROPERTIES) + 2
-    header = ("violated cells carry witnesses; satisfied cells are "
-              f"\"no violation in {report.budget} trials\" "
-              f"(seed {report.sampler.seed})")
-    lines = [header, "", " " * width + "  ".join(f"{m:>13}" for m in mechs)]
-    for prop in PROPERTIES:
-        row = [f"{prop:<{width}}"]
-        for mech in mechs:
-            cell = report.cells.get((mech, prop))
-            row.append(f"{_SYMBOL_TEXT.get(cell.symbol, cell.symbol):>13}")
-        lines.append("  ".join(row))
-    notes = load_expected_matrix()["poly_time_notes"]
-    lines.append("")
-    lines.append("poly-time computability (documented, not tested):")
-    for mech in mechs:
-        lines.append(f"  {mech}: {notes.get(mech, 'n/a')}")
-    if report.mismatches:
-        lines.append("")
-        lines.append("MISMATCHES vs expected matrix:")
-        for mech, prop, got, want in report.mismatches:
-            lines.append(f"  {mech}/{prop}: computed {got}, expected {want}")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Monotonicity decomposition consistency (P3 vs P1 + P2)
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    mechanism: str
-    trials: int
-    p3_violations: int
-    decomposed: int
-    inconsistencies: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.inconsistencies
-
-
-def check_lemma_consistency(mech: str, cfg: SamplerConfig,
-                            budget: int) -> LemmaReport:
-    """On sampled (T, tx1, tx2) with t1 <= t2 and K1 ⊆ K2, every combined
-    monotonicity violation must decompose through the intermediate
-    transaction (t1, K2) into a key-monotonicity or a time-monotonicity
-    violation, and strict component behavior must compose strictly."""
-    envs = env_pool(cfg)
-    rng = rng_for(cfg, "lemma", mech)
-    p3_violations = decomposed = 0
-    inconsistencies = []
-    for trial in range(budget):
-        threads = rng.choice(cfg.threads)
-        env = envs[threads]
-        inst = sample_instance("key_time_monotonicity", rng, cfg)
-        tx1, tx2 = inst.tx1, inst.tx2
-        mid = Transaction("x3!", tx1.time, tx2.keys)
-        gas1 = env.gas(inst.base.with_txs(tx1), tx1, mech)
-        gas2 = env.gas(inst.base.with_txs(tx2), tx2, mech)
-        gas_mid = env.gas(inst.base.with_txs(mid), mid, mech)
-        if gas1 > gas2:
-            p3_violations += 1
-            if gas1 > gas_mid or gas_mid > gas2:
-                decomposed += 1
-            else:
-                inconsistencies.append(
-                    ("undecomposable_violation", trial,
-                     instance_to_dict(inst)))
-        # Strict composition: strict component behavior on both legs forces
-        # a strict combined conclusion whenever tx1 and tx2 differ.
-        leg1_strict = similar(tx1, mid) or gas1 < gas_mid
-        leg2_strict = similar(mid, tx2) or gas_mid < gas2
-        if (not similar(tx1, tx2)) and leg1_strict and leg2_strict \
-                and not gas1 < gas2:
-            inconsistencies.append(
-                ("strictness_composition", trial, instance_to_dict(inst)))
-    return LemmaReport(mech, budget, p3_violations, decomposed,
-                       tuple(inconsistencies))

@@ -7,6 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor
 
+from .core import format_approx
 from .scheduler import Schedule, makespan
 
 MAX_TICKS = 50  # time-axis ticks in an SVG, whatever the makespan
@@ -35,7 +36,7 @@ def gantt_text(schedule: Schedule, width: int = 60) -> str:
         return "(empty schedule)"
     scale = Fraction(width) / span
     label_w = max([len(k) for k in schedule.txs.all_keys()] + [4])
-    lines = [f"makespan = {span} ({float(span):g})"]
+    lines = [f"makespan = {span} ({format_approx(span)})"]
     for key, segs in _rows(schedule):
         row = [" "] * width
         for tx_id, start, end in segs:
@@ -59,13 +60,28 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _to_pixels(span: Fraction):
+    """The map from a time to its offset in pixels: PX_PER_UNIT per unit up
+    to a span of MAX_TICKS, and MAX_TICKS units' width for a longer span.
+    A time becomes a float and is then scaled, which fixes every position
+    to the last digit; under a span too large for a float it is scaled
+    exactly and then converted."""
+    if span <= MAX_TICKS:
+        per_unit = PX_PER_UNIT
+    else:
+        try:
+            per_unit = PX_PER_UNIT * MAX_TICKS / float(span)
+        except OverflowError:
+            return lambda t: float(t * PX_PER_UNIT * MAX_TICKS / span)
+    return lambda t: float(t) * per_unit
+
+
 def gantt_svg(schedule: Schedule) -> str:
     span = makespan(schedule)
     rows = _rows(schedule)
     label_w = 90
-    px_per_unit = PX_PER_UNIT if span <= MAX_TICKS else \
-        PX_PER_UNIT * MAX_TICKS / float(span)
-    chart_w = max(int(float(span) * px_per_unit), PX_PER_UNIT)
+    to_px = _to_pixels(span)
+    chart_w = max(int(to_px(span)), PX_PER_UNIT)
     width = label_w + chart_w + 20
     height = (len(rows) + 1) * ROW_HEIGHT + 30
     colors = {tx.tx_id: _PALETTE[i % len(_PALETTE)]
@@ -83,8 +99,8 @@ def gantt_svg(schedule: Schedule) -> str:
                      f'x2="{label_w + chart_w}" y2="{y + ROW_HEIGHT}" '
                      f'stroke="#ddd"/>')
         for tx_id, start, end in segs:
-            x = label_w + float(start) * px_per_unit
-            w = max(float(end - start) * px_per_unit, 1.0)
+            x = label_w + to_px(start)
+            w = max(to_px(end - start), 1.0)
             parts.append(
                 f'<rect x="{x:.2f}" y="{y + 3}" width="{w:.2f}" '
                 f'height="{ROW_HEIGHT - 6}" fill="{colors[tx_id]}" '
@@ -98,7 +114,7 @@ def gantt_svg(schedule: Schedule) -> str:
     axis_y = 24 + len(rows) * ROW_HEIGHT
     step = max(1, -(-floor(span) // MAX_TICKS))
     for tick in range(0, floor(span) + 1, step):
-        x = label_w + round(tick * px_per_unit)
+        x = label_w + round(to_px(tick))
         parts.append(f'<line x1="{x}" y1="24" x2="{x}" y2="{axis_y}" '
                      f'stroke="#eee"/>')
         parts.append(f'<text x="{x - 3}" y="{axis_y + 16}">{tick}</text>')

@@ -21,9 +21,6 @@ class SamplerConfig:
     time_range: tuple[int, int] = (1, 5)
     threads: tuple = (2, 3)  # thread counts to draw from; None = unbounded
 
-    def keys(self) -> list[str]:
-        return [f"k{i}" for i in range(1, self.key_pool + 1)]
-
 
 def rng_for(cfg: SamplerConfig, *stream: object) -> random.Random:
     """An independent deterministic stream per (seed, label...) pair.
@@ -38,11 +35,17 @@ def sample_time(rng: random.Random, cfg: SamplerConfig) -> Fraction:
     return Fraction(rng.randint(*cfg.time_range))
 
 
+def draw_keys(rng: random.Random, pool: int, count: int) -> frozenset[str]:
+    """``count`` distinct keys of k1 .. k<pool>, drawn by index as
+    ``rng.sample`` draws from the list of their names, so that a large pool
+    costs no memory."""
+    return frozenset([f"k{i}" for i in rng.sample(range(1, pool + 1), count)])
+
+
 def sample_keys(rng: random.Random, cfg: SamplerConfig,
                 max_keys: int = 3) -> frozenset[str]:
-    pool = cfg.keys()
-    count = rng.randint(1, min(max_keys, len(pool)))
-    return frozenset(rng.sample(pool, count))
+    count = rng.randint(1, min(max_keys, cfg.key_pool))
+    return draw_keys(rng, cfg.key_pool, count)
 
 
 def sample_transaction(rng: random.Random, cfg: SamplerConfig,

@@ -62,8 +62,6 @@ from math import lcm
 
 from .core import TxSet
 
-UNBOUNDED = None
-
 
 class InstanceTooLarge(ValueError):
     pass
@@ -83,21 +81,11 @@ class SchedulerConfig:
         if self.threads is not None and self.threads < 2:
             raise ValueError(f"thread count must be >= 2, got {self.threads}")
 
-    def has_capacity(self, running: int) -> bool:
-        return self.threads is None or running < self.threads
-
 
 @dataclass(frozen=True)
 class Schedule:
     txs: TxSet
     starts: dict  # tx_id -> Fraction start time
-
-    def end(self, tx_id: str) -> Fraction:
-        return self.starts[tx_id] + self.txs.get(tx_id).time
-
-    def intervals(self) -> list[tuple[str, Fraction, Fraction]]:
-        return sorted((tx_id, start, start + self.txs.get(tx_id).time)
-                      for tx_id, start in self.starts.items())
 
 
 def makespan(schedule: Schedule) -> Fraction:
@@ -442,9 +430,10 @@ class SubsetValueTable:
     the full block.  ``values`` reads the same numbers keyed by frozensets
     of ids.  ``marginal_sums[i][s]``, recorded by ``subset_value_table``
     (None on other tables), is the sum of the scaled marginals
-    v(S + i) - v(S) over the coalitions S of size s without i.  ``prices``
-    is left for the gcm module to cache the block's Shapley and Banzhaf
-    prices in.
+    v(S + i) - v(S) over the coalitions S of size s without i; the gcm
+    module prices a block only from these sums, so only a table from
+    ``subset_value_table`` can be priced.  ``prices`` is left for the gcm
+    module to cache the block's Shapley and Banzhaf prices in.
     """
 
     def __init__(self, base: TxSet, scale: int, scaled: dict,

@@ -5,7 +5,8 @@ no bounds and no greedy incumbent, so it shares no shortcuts with the
 library's branch-and-bound search.  The pricing oracles compute one
 transaction at a time straight from the definitions, reading v(S) through
 ``SubsetValueTable.value`` in exact rationals, where the library prices a
-whole block in one integer sweep.
+whole block from integer sums recorded while it fills the table.  The
+marginal-sum sweep recomputes those sums from the finished table.
 """
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -106,3 +107,32 @@ def banzhaf(block, tx, vtable, normalized=False) -> Fraction:
                     Fraction(0))
     v_block = vtable.value(block.ids)
     return raw if raw_total == 0 else raw * v_block / raw_total
+
+
+class NonMonotoneValue(ValueError):
+    """A marginal contribution v(S + i) - v(S) is negative."""
+
+
+def marginal_sums(block, v) -> list:
+    """sums[i][s]: the integer marginals v(S + i) - v(S) over the
+    coalitions S of size s without i, by one sweep over the scaled table
+    ``v`` (bit i is the i-th transaction of ``block``), which must be
+    monotone."""
+    n = len(block)
+    sums = [[0] * n for _ in range(n)]
+    full = (1 << n) - 1
+    for mask in range(full + 1):
+        size = mask.bit_count()
+        here = v[mask]
+        free = full ^ mask
+        while free:
+            bit = free & -free
+            free ^= bit
+            marginal = v[mask | bit] - here
+            i = bit.bit_length() - 1
+            if marginal < 0:
+                raise NonMonotoneValue(
+                    f"marginal of {block.txs[i].tx_id!r} to a coalition of "
+                    f"{size} is negative: v is not monotone")
+            sums[i][size] += marginal
+    return sums

@@ -9,8 +9,7 @@ import time
 from fractions import Fraction
 
 from paragas import (BaseFeeState, PricingEnv, SamplerConfig, SchedulerConfig,
-                     TxSet, WorkloadConfig, base_fee_update,
-                     check_lemma_consistency, check_property,
+                     TxSet, WorkloadConfig, base_fee_update, check_property,
                      greedy_schedule, known_violations,
                      load_expected_matrix, make_transaction, makespan,
                      optimal_makespan, optimal_schedule, property_matrix,
@@ -22,6 +21,7 @@ from paragas.sampling import rng_for, sample_transaction, sample_txset
 
 from axioms import check_scheduler_axioms
 from exhaustive import shapley_permutation
+from lemma import check_lemma_consistency
 
 N2 = SchedulerConfig(threads=2)
 N3 = SchedulerConfig(threads=3)

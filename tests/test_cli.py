@@ -34,6 +34,15 @@ def run(capsys, argv):
     return code, capsys.readouterr()
 
 
+def run_subprocess(argv, **kwargs):
+    """The CLI in a fresh interpreter that imports the package from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "paragas.cli", *argv],
+                          capture_output=True, text=True, env=env, **kwargs)
+
+
 def test_gas_current_totals(four_tx_block, capsys):
     code, out = run(capsys, ["gas", four_tx_block, "--mech", "current"])
     assert code == 0
@@ -331,13 +340,8 @@ def test_hard_block_answers_within_a_hang_guard(tmp_path, argv):
                        SamplerConfig(key_pool=6, time_range=(1, 12)), 12)
     path = tmp_path / "hard.json"
     path.write_text(render_block(txs))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, "-m", "paragas.cli", argv[0], str(path), *argv[1:],
-         "--threads", "3"], capture_output=True, text=True, env=env,
-        timeout=8)
+    proc = run_subprocess([argv[0], str(path), *argv[1:], "--threads", "3"],
+                          timeout=8)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     if argv[0] == "schedule":
@@ -345,3 +349,41 @@ def test_hard_block_answers_within_a_hang_guard(tmp_path, argv):
         assert doc["validity"]["valid"] is True
     else:
         assert doc["block_value"] == "53"
+
+
+def test_times_too_large_for_a_float_still_render(tmp_path, capsys):
+    # 10^400 parses exactly; only the display approximates it, and a float
+    # holds at most about 1.8 * 10^308.
+    big = "1" + "0" * 400
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"transactions": [
+        {"id": "a", "time": big, "keys": ["k1"]},
+        {"id": "b", "time": big, "keys": ["k1"]},
+        {"id": "c", "time": 3, "keys": ["k2"]}]}))
+    code, out = run(capsys, ["gas", str(path), "--format", "text"])
+    assert code == 0, out.err
+    assert f"  a: {big} (~1e+400)" in out.out.splitlines()
+    code, out = run(capsys, ["schedule", str(path), "--format", "text"])
+    assert code == 0, out.err
+    assert f"makespan = 2{big[1:]} (2e+400)" in out.out
+    code, out = run(capsys, ["schedule", str(path), "--format", "svg"])
+    assert code == 0, out.err
+    assert out.out.startswith('<svg xmlns="http://www.w3.org/2000/svg" '
+                              'width="2510" ')
+    assert '<rect x="1290.00" ' in out.out  # b starts half-way
+
+
+def test_a_huge_key_pool_costs_no_memory(tmp_path):
+    # Under a 1 GiB address-space limit, so that listing every key name of
+    # the pool fails with MemoryError instead of exhausting the machine.
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps({"key_pool": 10**12}))
+    proc = run_subprocess(["simulate", "--blocks", "3", "--workload",
+                           str(path)], preexec_fn=limit_memory, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert len(proc.stdout.splitlines()) == 4

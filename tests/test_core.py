@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from paragas import (DuplicateId, EmptyKeySet, MalformedDocument,
                      NonPositiveTime, NonPositiveWeight, Transaction, TxSet,
-                     WeightTable, concatenate, dominates, format_rational,
+                     WeightTable, concatenate, format_rational,
                      make_transaction, parse_block, render_block, similar,
                      to_rational)
 
@@ -46,11 +46,7 @@ def test_make_transaction_validates():
 def test_similar_and_dominates():
     a = make_transaction("a", 1, ["k1"])
     b = make_transaction("b", 1, ["k1"])
-    c = make_transaction("c", 2, ["k1", "k2"])
     assert similar(a, b)
-    assert dominates(a, c).less_or_similar
-    assert not dominates(a, c).similar
-    assert not dominates(c, a).less_or_similar
 
 
 def test_concatenate_adds_times_and_unions_keys():

@@ -1,13 +1,11 @@
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
 from paragas import (PricingEnv, SchedulerConfig, TxSet, WeightTable,
                      make_transaction, subset_value_table)
 from paragas.core import Transaction
-from paragas.gcm import (MissingVTable, NonMonotoneValue, TxNotInSet,
-                         gas_banzhaf, gas_shapley)
+from paragas.gcm import MissingVTable, TxNotInSet, gas_banzhaf, gas_shapley
 from paragas.sampling import SamplerConfig, rng_for, sample_txset
 from paragas.scheduler import SubsetValueTable
 
@@ -106,16 +104,6 @@ def test_one_sweep_prices_equal_per_transaction_oracles():
                 banzhaf(block, t, table, normalized=True), (i, t)
 
 
-def test_negative_marginal_is_a_typed_error():
-    block = TxSet([tx("a", 1, ["k1"]), tx("b", 1, ["k1"])])
-    # v({a}) = 3 > v({a, b}) = 2: not monotone.
-    table = SubsetValueTable(block, 1, {0: 0, 1: 3, 2: 1, 3: 2})
-    for price in (gas_shapley, gas_banzhaf,
-                  partial(gas_banzhaf, normalized=True)):
-        with pytest.raises(NonMonotoneValue):
-            price(block, block.get("b"), table)
-
-
 def test_shapley_efficiency():
     cfg = SamplerConfig(seed=22, max_txs=5, key_pool=4)
     e = env2()
@@ -203,6 +191,9 @@ def test_vtable_required_and_must_match_block():
     whole = SubsetValueTable.whole(block, Fraction(1))  # knows only v(T)
     with pytest.raises(MissingVTable):
         gas_shapley(block, block.get("a"), whole)
+    unsummed = SubsetValueTable(block, 1, {0: 0, 1: 1, 2: 1, 3: 1})
+    with pytest.raises(MissingVTable):
+        gas_shapley(block, block.get("a"), unsummed)
     other = TxSet([tx("z", 1, ["k1"])])
     with pytest.raises(MissingVTable):
         gas_banzhaf(block, block.get("a"), subset_value_table(other, N2))

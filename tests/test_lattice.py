@@ -1,4 +1,5 @@
-"""Property tests of the subset-value table on random blocks.
+"""Property tests of the subset-value table, the schedules and the
+efficient mechanisms on random blocks.
 
 Blocks have 2-8 transactions with times k/1, k/2 or k/3, drawn from a key
 pool of 2 (dense conflicts), 5 or 10 (sparse, so that subsets often split
@@ -9,15 +10,15 @@ seconds on 7 transactions, so it checks blocks of at most 6.
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paragas import (SchedulerConfig, SubsetValueTable, TxSet,
-                     make_transaction, optimal_schedule, scheduler,
+from paragas import (PricingEnv, SchedulerConfig, TxSet, greedy_schedule,
+                     make_transaction, makespan, optimal_schedule, scheduler,
                      subset_value_table, validate_schedule)
-from paragas.gcm import block_prices
 
-from exhaustive import exhaustive_makespan
+from exhaustive import exhaustive_makespan, marginal_sums
 
 threads_st = st.sampled_from((2, 3, None))
 
@@ -79,9 +80,7 @@ def test_adding_a_transaction_costs_between_nothing_and_its_time(block,
 @given(block=blocks(), threads=threads_st)
 def test_recorded_sums_price_like_the_sweep(block, threads):
     table = subset_value_table(block, SchedulerConfig(threads=threads))
-    assert table.marginal_sums is not None
-    swept = SubsetValueTable(block, table.scale, table.scaled)
-    assert block_prices(block, table) == block_prices(block, swept)
+    assert table.marginal_sums == marginal_sums(block, table.scaled)
 
 
 @settings(max_examples=100, deadline=None)
@@ -111,3 +110,26 @@ def test_lattice_fallback_gives_the_searched_schedule(block, threads):
             table.value(block.ids)
     assert fallback.starts == plain.starts
     assert validate_schedule(fallback, block, cfg).valid
+
+
+@settings(max_examples=100, deadline=None)
+@given(block=blocks(), threads=threads_st)
+def test_schedules_are_valid_and_the_exact_one_takes_v(block, threads):
+    cfg = SchedulerConfig(threads=threads)
+    exact = optimal_schedule(block, cfg)
+    greedy = greedy_schedule(block, cfg)
+    assert validate_schedule(exact, block, cfg).valid
+    assert validate_schedule(greedy, block, cfg).valid
+    v_block = subset_value_table(block, cfg).value(block.ids)
+    assert makespan(exact) == v_block <= makespan(greedy)
+
+
+@pytest.mark.parametrize("mech",
+                         ("shapley", "tpm", "esm", "banzhaf_normalized"))
+@settings(max_examples=50, deadline=None)
+@given(block=blocks(), threads=threads_st)
+def test_efficient_mechanisms_charge_v_in_total(mech, block, threads):
+    cfg = SchedulerConfig(threads=threads)
+    env = PricingEnv(scheduler_cfg=cfg)
+    assert env.block_gas(block, block, mech) == \
+        subset_value_table(block, cfg).value(block.ids)
