@@ -9,6 +9,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 
@@ -109,20 +110,37 @@ def concatenate(tx1: Transaction, tx2: Transaction, tx_id: str) -> Transaction:
     return Transaction(str(tx_id), tx1.time + tx2.time, tx1.keys | tx2.keys)
 
 
-class TxSet:
-    """An immutable set of transactions with distinct ids (a block)."""
+_tx_id = attrgetter("tx_id")
+_set = object.__setattr__  # TxSet's own __setattr__ refuses every write
 
-    __slots__ = ("txs", "_by_id")
+
+class TxSet:
+    """An immutable set of transactions with distinct ids (a block).
+
+    The set keeps its hash, its total time and its compiled form (the
+    scheduler's integer form of the block) once they are first asked for.
+    """
+
+    __slots__ = ("txs", "_by_id", "_hash", "_total", "_compiled")
 
     def __init__(self, txs: Iterable[Transaction] = ()):
-        ordered = tuple(sorted(txs, key=lambda tx: tx.tx_id))
-        by_id: dict[str, Transaction] = {}
-        for tx in ordered:
-            if tx.tx_id in by_id:
-                raise DuplicateId(f"duplicate transaction id {tx.tx_id!r}")
-            by_id[tx.tx_id] = tx
-        object.__setattr__(self, "txs", ordered)
-        object.__setattr__(self, "_by_id", by_id)
+        self._fill(tuple(sorted(txs, key=_tx_id)))
+
+    @classmethod
+    def _sorted(cls, ordered: tuple) -> "TxSet":
+        """The set of ``ordered``, a tuple already sorted by id."""
+        txs = object.__new__(cls)
+        txs._fill(ordered)
+        return txs
+
+    def _fill(self, ordered: tuple) -> None:
+        by_id = {tx.tx_id: tx for tx in ordered}
+        if len(by_id) < len(ordered):
+            dup = next(a.tx_id for a, b in zip(ordered, ordered[1:])
+                       if a.tx_id == b.tx_id)
+            raise DuplicateId(f"duplicate transaction id {dup!r}")
+        _set(self, "txs", ordered)
+        _set(self, "_by_id", by_id)
 
     def __setattr__(self, name, value):
         raise AttributeError("TxSet is immutable")
@@ -143,7 +161,11 @@ class TxSet:
         return isinstance(other, TxSet) and self.txs == other.txs
 
     def __hash__(self) -> int:
-        return hash(self.txs)
+        value = getattr(self, "_hash", None)
+        if value is None:
+            value = hash(self.txs)
+            _set(self, "_hash", value)
+        return value
 
     def __repr__(self) -> str:
         return f"TxSet({list(self.txs)!r})"
@@ -156,20 +178,34 @@ class TxSet:
         return frozenset(self._by_id)
 
     def with_txs(self, *extra: Transaction) -> "TxSet":
-        return TxSet(self.txs + extra)
+        return TxSet._sorted(tuple(sorted(self.txs + extra, key=_tx_id)))
 
     def union(self, other: "TxSet") -> "TxSet":
-        return TxSet(self.txs + other.txs)
+        return self.with_txs(*other.txs)
 
     def subset(self, ids: Iterable[str]) -> "TxSet":
         wanted = set(ids)
-        missing = wanted - set(self._by_id)
+        missing = wanted - self._by_id.keys()
         if missing:
             raise KeyError(f"unknown transaction ids: {sorted(missing)}")
-        return TxSet(tx for tx in self.txs if tx.tx_id in wanted)
+        return TxSet._sorted(tuple(tx for tx in self.txs
+                                   if tx.tx_id in wanted))
 
     def total_time(self) -> Fraction:
-        return sum((tx.time for tx in self.txs), Fraction(0))
+        value = getattr(self, "_total", None)
+        if value is None:
+            value = sum((tx.time for tx in self.txs), Fraction(0))
+            _set(self, "_total", value)
+        return value
+
+    def compiled_form(self, build):
+        """``build(self)``, made on the first call and kept with the set;
+        the scheduler keeps its integer form of the block here."""
+        value = getattr(self, "_compiled", None)
+        if value is None:
+            value = build(self)
+            _set(self, "_compiled", value)
+        return value
 
     def all_keys(self) -> frozenset[str]:
         keys: set[str] = set()

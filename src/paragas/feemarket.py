@@ -148,11 +148,16 @@ def _is_int_range(value, low: int) -> bool:
             and _is_int(value[0], low) and _is_int(value[1], value[0]))
 
 
+MAX_BIDS_PER_BLOCK = 10_000
+MAX_KEYS_PER_TX = 64
+
+
 @dataclass(frozen=True)
 class WorkloadConfig:
-    """Bid stream parameters: integer counts >= 1, at most ``key_pool``
-    keys per transaction, integer ranges of times (lo >= 1) and of price
-    numerators (lo >= 0)."""
+    """Bid stream parameters: integer counts >= 1, at most
+    ``MAX_BIDS_PER_BLOCK`` bids per block, at most ``key_pool`` and at most
+    ``MAX_KEYS_PER_TX`` keys per transaction, integer ranges of times
+    (lo >= 1) and of price numerators (lo >= 0)."""
 
     seed: int = 0
     bids_per_block: int = 8
@@ -165,10 +170,12 @@ class WorkloadConfig:
     def __post_init__(self):
         checks = {
             "seed": _is_int(self.seed),
-            "bids_per_block": _is_int(self.bids_per_block, 1),
+            "bids_per_block": _is_int(self.bids_per_block, 1)
+            and self.bids_per_block <= MAX_BIDS_PER_BLOCK,
             "time_range": _is_int_range(self.time_range, 1),
             "key_pool": _is_int(self.key_pool, 1),
             "max_keys_per_tx": _is_int(self.max_keys_per_tx, 1)
+            and self.max_keys_per_tx <= MAX_KEYS_PER_TX
             and _is_int(self.key_pool, self.max_keys_per_tx),
             "price_range": _is_int_range(self.price_range, 0),
             "price_denominator": _is_int(self.price_denominator, 1),

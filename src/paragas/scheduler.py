@@ -45,8 +45,16 @@ v(S + i) - v(S) over the coalitions S of size s without i is then
 since the sets of size s + 1 with i are all sets of that size less those
 without i.  The gcm module prices a block from these sums.
 
-Whole blocks.  ``optimal_makespan`` and ``optimal_schedule`` run the search
-on the whole block with a budget of 2^|T| nodes.  If it runs out, they fill
+Whole blocks.  Each block is compiled once: ``compiled`` keeps its integer
+form, with the greedy list order, in the TxSet, and every entry point
+below reads it.  ``optimal_makespan``, ``optimal_schedule`` and
+``ValueOracle.value`` first compare the greedy makespan with the static
+lower bound (longest time, heaviest key, work over n); when they meet, v(T)
+is the greedy makespan and the starts are the greedy ones.  These are the
+starts the search would return: it only replaces the greedy starts with a
+strictly shorter schedule, and none exists.  Only a block the bounds leave
+open goes to the oracle's memo and to the search, which runs on the whole
+block with a budget of max(2^|T|, 256) nodes.  If it runs out, they fill
 the table instead and read v(T) from it; for the starts, the search reruns
 from the greedy incumbent with floor v(T) and the table's c + v(R) cut.
 It returns the same schedule as the plain search: both return the first
@@ -147,16 +155,16 @@ def validate_schedule(schedule: Schedule, txs: TxSet,
 class _Scaled:
     """A block in integer form: transaction i is the i-th of the TxSet (id
     order), its time is ``times[i]`` in units of 1/``scale``, and its keys
-    are the small ints ``keys[i]`` (bit set ``masks[i]``)."""
+    are the small ints ``keys[i]`` (bit set ``masks[i]``).  ``order`` lists
+    every index longest time first (ties by index): the list order of the
+    greedy schedule."""
 
-    __slots__ = ("txs", "scale", "times", "keys", "masks", "nkeys")
+    __slots__ = ("scale", "times", "keys", "masks", "nkeys", "order")
 
     def __init__(self, txs: TxSet):
-        self.txs = txs
-        fractions = [tx.time for tx in txs]
-        self.scale = scale = lcm(*(t.denominator for t in fractions))
-        self.times = [t.numerator * (scale // t.denominator)
-                      for t in fractions]
+        ratios = [tx.time.as_integer_ratio() for tx in txs]
+        self.scale = scale = lcm(*[den for _num, den in ratios])
+        self.times = times = [num * (scale // den) for num, den in ratios]
         index: dict[str, int] = {}
         self.keys, self.masks = [], []
         for tx in txs:
@@ -167,18 +175,15 @@ class _Scaled:
             self.keys.append(ks)
             self.masks.append(mask)
         self.nkeys = len(index)
+        # A stable sort keeps ties in index order, also when reversed.
+        self.order = sorted(range(len(times)), key=times.__getitem__,
+                            reverse=True)
 
-    def longest_first(self) -> list:
-        """Every index, longest time first (ties by index): the list order
-        of the greedy schedule."""
-        times = self.times
-        return sorted(range(len(times)), key=lambda i: (-times[i], i))
-
-    def schedule(self, starts: dict) -> Schedule:
-        """The Schedule whose transaction i starts at ``starts[i]``."""
-        txs = self.txs.txs
-        return Schedule(self.txs, {txs[i].tx_id: Fraction(s, self.scale)
-                                   for i, s in starts.items()})
+    def schedule(self, txs: TxSet, starts: dict) -> Schedule:
+        """The Schedule of ``txs`` whose transaction i starts at
+        ``starts[i]``."""
+        return Schedule(txs, {txs.txs[i].tx_id: Fraction(s, self.scale)
+                              for i, s in starts.items()})
 
     def static_bound(self, items, threads: int | None) -> int:
         """Lower bound on the makespan of ``items``: the longest time, the
@@ -193,15 +198,22 @@ class _Scaled:
                 longest = t
             for k in keys[i]:
                 load[k] += t
-        lb = max(longest, max(load))
+        lb = max(longest, max(load, default=0))
         if threads is not None:
             lb = max(lb, -(-work // threads))
         return lb
 
 
+def compiled(txs: TxSet) -> _Scaled:
+    """The integer form of ``txs``, built on first use and kept in the set.
+    It holds no reference back to the set, so the two form no cycle and
+    are freed together without the cyclic garbage collector."""
+    return txs.compiled_form(_Scaled)
+
+
 def _greedy(sc: _Scaled, threads: int | None, pending: list) -> tuple[int, dict]:
     """The list schedule of ``pending``, given longest time first (ties by
-    id, as ``longest_first`` orders them): at each event time start every
+    id, as ``order`` lists them): at each event time start every
     eligible transaction in list order.  Returns its makespan and its
     starts by index."""
     times, masks = sc.times, sc.masks
@@ -212,19 +224,22 @@ def _greedy(sc: _Scaled, threads: int | None, pending: list) -> tuple[int, dict]
         locked = 0
         for _end, i in running:
             locked |= masks[i]
+        room = len(pending) if threads is None else threads - len(running)
         waiting = []
         for i in pending:
-            if (threads is None or len(running) < threads) \
-                    and not masks[i] & locked:
+            if room and not masks[i] & locked:
                 starts[i] = clock
-                running.append((clock + times[i], i))
+                end = clock + times[i]
+                running.append((end, i))
                 locked |= masks[i]
-                span = max(span, clock + times[i])
+                room -= 1
+                if end > span:
+                    span = end
             else:
                 waiting.append(i)
         pending = waiting
         if pending:
-            clock = min(end for end, _ in running)
+            clock = min(running)[0]
             running = [(end, i) for end, i in running if end > clock]
     return span, starts
 
@@ -232,10 +247,8 @@ def _greedy(sc: _Scaled, threads: int | None, pending: list) -> tuple[int, dict]
 def greedy_schedule(txs: TxSet, cfg: SchedulerConfig) -> Schedule:
     """Deterministic list scheduling: longest time first (ties by id); at each
     event time start every eligible transaction in list order."""
-    if not len(txs):
-        return Schedule(txs, {})
-    sc = _Scaled(txs)
-    return sc.schedule(_greedy(sc, cfg.threads, sc.longest_first())[1])
+    sc = compiled(txs)
+    return sc.schedule(txs, _greedy(sc, cfg.threads, sc.order)[1])
 
 
 class _Reached(Exception):
@@ -357,23 +370,35 @@ def _search(sc: _Scaled, threads: int | None, items, best: int, floor: int,
     return found[0], found[1]
 
 
+def _check_cap(n: int, cfg: SchedulerConfig) -> None:
+    if n > cfg.instance_cap:
+        raise InstanceTooLarge(
+            f"|T| = {n} exceeds instance cap {cfg.instance_cap}")
+
+
+def _bounds(sc: _Scaled, cfg: SchedulerConfig) -> tuple[int, int, dict]:
+    """The static lower bound of the whole block, and the makespan and
+    starts of its greedy schedule, an upper bound; v(T) is the greedy
+    makespan when the two meet."""
+    _check_cap(len(sc.times), cfg)
+    return (sc.static_bound(range(len(sc.times)), cfg.threads),
+            *_greedy(sc, cfg.threads, sc.order))
+
+
 def _optimal(sc: _Scaled, cfg: SchedulerConfig,
              want_starts: bool = True) -> tuple[int, dict]:
     """Least scaled makespan of the whole block and starts achieving it:
     the greedy schedule unless the search beats it.  Without
     ``want_starts`` the starts may be the greedy ones when the search
     falls back to the lattice."""
+    floor, incumbent, starts = _bounds(sc, cfg)
+    if incumbent == floor:
+        return incumbent, starts
     n, threads = len(sc.times), cfg.threads
-    if n > cfg.instance_cap:
-        raise InstanceTooLarge(
-            f"|T| = {n} exceeds instance cap {cfg.instance_cap}")
-    if not n:
-        return 0, {}
     items = range(n)
-    incumbent, starts = _greedy(sc, threads, sc.longest_first())
     try:
-        best, found = _search(sc, threads, items, incumbent,
-                              sc.static_bound(items, threads), budget=1 << n)
+        best, found = _search(sc, threads, items, incumbent, floor,
+                              budget=max(1 << n, 256))
     except _OverBudget:
         v = _fill(sc, threads)[0]
         best, found = v[-1], None
@@ -388,13 +413,13 @@ def _optimal(sc: _Scaled, cfg: SchedulerConfig,
 
 
 def optimal_schedule(txs: TxSet, cfg: SchedulerConfig) -> Schedule:
-    sc = _Scaled(txs)
-    return sc.schedule(_optimal(sc, cfg)[1])
+    sc = compiled(txs)
+    return sc.schedule(txs, _optimal(sc, cfg)[1])
 
 
 def optimal_makespan(txs: TxSet, cfg: SchedulerConfig) -> Fraction:
     """v(T): the exact minimum makespan over all valid schedules."""
-    sc = _Scaled(txs)
+    sc = compiled(txs)
     return Fraction(_optimal(sc, cfg, want_starts=False)[0], sc.scale)
 
 
@@ -404,13 +429,19 @@ MEMO_CAP = 1 << 15  # makespans an oracle keeps before starting afresh
 class ValueOracle:
     """Memoized access to v(T); the makespan only depends on the multiset of
     (time, keys) tuples and the thread count, so results are shared across
-    blocks.  The memo holds at most ``MEMO_CAP`` entries."""
+    blocks.  A block whose greedy makespan meets its static bound is
+    answered from the bounds and not memoized.  The memo holds at most
+    ``MEMO_CAP`` entries."""
 
     def __init__(self, cfg: SchedulerConfig):
         self.cfg = cfg
         self._memo: dict[tuple, Fraction] = {}
 
     def value(self, txs: TxSet) -> Fraction:
+        sc = compiled(txs)
+        floor, span, _starts = _bounds(sc, self.cfg)
+        if span == floor:
+            return Fraction(span, sc.scale)
         key = txs.shape_key()
         got = self._memo.get(key)
         if got is None:
@@ -426,17 +457,17 @@ class SubsetValueTable:
 
     ``scaled`` maps a bit mask to scale * v(S), where bit i stands for the
     i-th transaction of ``base`` in id order.  A table from
-    ``subset_value_table`` holds every mask; one from ``whole`` holds only
-    the full block.  ``values`` reads the same numbers keyed by frozensets
-    of ids.  ``marginal_sums[i][s]``, recorded by ``subset_value_table``
-    (None on other tables), is the sum of the scaled marginals
-    v(S + i) - v(S) over the coalitions S of size s without i; the gcm
-    module prices a block only from these sums, so only a table from
-    ``subset_value_table`` can be priced.  ``prices`` is left for the gcm
-    module to cache the block's Shapley and Banzhaf prices in.
+    ``subset_value_table`` holds every mask, as a list indexed by mask; one
+    from ``whole`` holds only the full block, as a dict.  ``values`` reads
+    the same numbers keyed by frozensets of ids.  ``marginal_sums[i][s]``,
+    recorded by ``subset_value_table`` (None on other tables), is the sum
+    of the scaled marginals v(S + i) - v(S) over the coalitions S of size s
+    without i; the gcm module prices a block only from these sums, so only
+    a table from ``subset_value_table`` can be priced.  ``prices`` is left
+    for the gcm module to cache the block's Shapley and Banzhaf prices in.
     """
 
-    def __init__(self, base: TxSet, scale: int, scaled: dict,
+    def __init__(self, base: TxSet, scale: int, scaled: list | dict,
                  marginal_sums: list | None = None):
         self.base = base
         self.scale = scale
@@ -480,7 +511,9 @@ class _TableValues(Mapping):
 
     def __iter__(self):
         ids = [tx.tx_id for tx in self._table.base]
-        for mask in self._table.scaled:
+        scaled = self._table.scaled
+        masks = range(len(scaled)) if isinstance(scaled, list) else scaled
+        for mask in masks:
             yield frozenset(tx_id for i, tx_id in enumerate(ids)
                             if mask >> i & 1)
 
@@ -488,19 +521,17 @@ class _TableValues(Mapping):
 def subset_value_table(txs: TxSet, cfg: SchedulerConfig) -> SubsetValueTable:
     """v(S) for all 2^|T| subsets, filled by increasing mask so that every
     v(S - i) is known before v(S); see the module docstring."""
-    if len(txs) > cfg.instance_cap:
-        raise InstanceTooLarge(
-            f"|T| = {len(txs)} exceeds instance cap {cfg.instance_cap}")
-    sc = _Scaled(txs)
+    _check_cap(len(txs), cfg)
+    sc = compiled(txs)
     v, sums = _fill(sc, cfg.threads)
-    return SubsetValueTable(txs, sc.scale, dict(enumerate(v)), sums)
+    return SubsetValueTable(txs, sc.scale, v, sums)
 
 
 def _fill(sc: _Scaled, threads: int | None) -> tuple[list, list]:
     """Scaled v(S) for every mask S, in mask order, and the marginal sums
     of ``SubsetValueTable`` recorded on the way; see the module docstring."""
     times, masks, n = sc.times, sc.masks, len(sc.times)
-    total, order = sum(times), sc.longest_first()
+    total, order = sum(times), sc.order
     # neighbours[i]: the transactions that share a key with i, as a mask.
     neighbours = [sum(1 << j for j in range(n)
                       if j != i and masks[i] & masks[j]) for i in range(n)]

@@ -208,6 +208,22 @@ def test_check_json_is_byte_identical_to_checked_in_output(capsys):
     assert out.out == expected
 
 
+def test_block_outputs_are_byte_identical_to_checked_in_output(
+        capsys, monkeypatch):
+    # `schedule` and `gas --mech tpm|shapley` on blocks/*.json at threads
+    # 2, 3 and unbounded, keyed by argv, with the block path relative to
+    # the repository root.
+    root = Path(__file__).resolve().parents[1]
+    expected = json.loads((root / "tests" / "data" /
+                           "cli_blocks.json").read_text(encoding="utf-8"))
+    assert len(expected) == 18
+    monkeypatch.chdir(root)
+    for argv, want in expected.items():
+        code, out = run(capsys, argv.split())
+        assert code == 0, argv
+        assert out.out == want, argv
+
+
 def one_error_line(err):
     return len([line for line in err.splitlines() if "error:" in line]) == 1 \
         and "Traceback" not in err
@@ -225,6 +241,7 @@ def test_check_budget_below_one_is_usage_error(capsys):
 @pytest.mark.parametrize("config", [
     {"time_range": [1]}, {"price_denominator": 0}, {"bids_per_block": "x"},
     {"time_range": [3, 1]}, {"max_keys_per_tx": 9}, {"price_range": 5},
+    {"key_pool": 100, "max_keys_per_tx": 65}, {"bids_per_block": 10001},
     [1, 2]])
 def test_simulate_bad_workload_config_is_usage_error(tmp_path, capsys,
                                                      config):
@@ -387,3 +404,22 @@ def test_a_huge_key_pool_costs_no_memory(tmp_path):
                            str(path)], preexec_fn=limit_memory, timeout=60)
     assert proc.returncode == 0, proc.stderr[-500:]
     assert len(proc.stdout.splitlines()) == 4
+
+
+def test_a_huge_key_count_is_a_usage_error(tmp_path):
+    # Under a 1 GiB address-space limit, as above: drawing 10^12 keys per
+    # transaction would end in MemoryError.
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps({"key_pool": 10**12,
+                                "max_keys_per_tx": 10**12}))
+    proc = run_subprocess(["simulate", "--blocks", "2", "--workload",
+                           str(path)], preexec_fn=limit_memory, timeout=60)
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert one_error_line(proc.stderr)
+    assert "max_keys_per_tx" in proc.stderr
+    assert proc.stdout == ""

@@ -11,11 +11,12 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paragas import (PricingEnv, SchedulerConfig, TxSet, greedy_schedule,
-                     make_transaction, makespan, optimal_schedule, scheduler,
+from paragas import (DuplicateId, PricingEnv, SchedulerConfig, TxSet,
+                     ValueOracle, greedy_schedule, make_transaction, makespan,
+                     optimal_makespan, optimal_schedule, scheduler,
                      subset_value_table, validate_schedule)
 
 from exhaustive import exhaustive_makespan, marginal_sums
@@ -39,9 +40,9 @@ def blocks(draw, max_txs=8):
 def searched(block, threads, items):
     """v of the transactions ``items`` (scaled) by the plain branch and
     bound: greedy incumbent, static lower bound, no table and no budget."""
-    sc = scheduler._Scaled(block)
+    sc = scheduler.compiled(block)
     incumbent = scheduler._greedy(
-        sc, threads, [i for i in sc.longest_first() if i in items])[0]
+        sc, threads, [i for i in sc.order if i in items])[0]
     return scheduler._search(sc, threads, items, incumbent,
                              sc.static_bound(items, threads))[0]
 
@@ -133,3 +134,58 @@ def test_efficient_mechanisms_charge_v_in_total(mech, block, threads):
     env = PricingEnv(scheduler_cfg=cfg)
     assert env.block_gas(block, block, mech) == \
         subset_value_table(block, cfg).value(block.ids)
+
+
+# Five key-disjoint transactions of times 3, 3, 2, 2, 2: at 2 threads the
+# greedy schedule takes 7 and v = 6, so the bounds leave the block open.
+OPEN_BLOCK = TxSet(make_transaction(f"t{i}", t, [f"k{i}"])
+                   for i, t in enumerate((3, 3, 2, 2, 2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(block=blocks(), threads=threads_st)
+@example(block=OPEN_BLOCK, threads=2)
+def test_oracle_search_and_table_agree_on_v(block, threads):
+    cfg = SchedulerConfig(threads=threads)
+    assert ValueOracle(cfg).value(block) == optimal_makespan(block, cfg) == \
+        subset_value_table(block, cfg).value(block.ids)
+
+
+@settings(max_examples=30, deadline=None)
+@given(block=blocks(max_txs=6), threads=threads_st)
+def test_table_values_yield_every_id_subset_once(block, threads):
+    table = subset_value_table(block, SchedulerConfig(threads=threads))
+    subsets = list(table.values)
+    assert len(subsets) == len(set(subsets)) == 2 ** len(block)
+    for mask, ids in enumerate(subsets):
+        assert ids == {tx.tx_id for i, tx in enumerate(block)
+                       if mask >> i & 1}
+        assert table.values[ids] == table.value(ids)
+
+
+def same_set(fast, slow):
+    assert fast == slow
+    assert hash(fast) == hash(slow)
+    assert fast.txs == slow.txs
+    assert list(fast) == list(slow)
+    assert fast.ids == slow.ids
+    assert fast.total_time() == slow.total_time()
+
+
+@settings(max_examples=100, deadline=None)
+@given(block=blocks(), data=st.data())
+def test_with_txs_and_subset_build_the_same_set(block, data):
+    txs = list(block)
+    chosen = data.draw(st.lists(st.sampled_from(txs), unique=True))
+    extra = [tx for tx in txs if tx not in chosen]
+    base = TxSet(chosen)
+    same_set(base.with_txs(*extra), TxSet(chosen + extra))
+    same_set(base.with_txs(*extra), block)
+    ids = {tx.tx_id for tx in chosen}
+    same_set(block.subset(ids), TxSet(tx for tx in txs if tx.tx_id in ids))
+    if chosen:
+        again = make_transaction(chosen[0].tx_id, 1, ["k9"])
+        with pytest.raises(DuplicateId):
+            base.with_txs(*extra, again)
+        with pytest.raises(DuplicateId):
+            block.with_txs(again)

@@ -208,11 +208,20 @@ def test_axiom_s1_non_strict_case():
     assert oracle.value(TxSet([a])) == oracle.value(TxSet([a, b])) == 1
 
 
+def open_block(ids, scale=1):
+    """Five key-disjoint transactions of times 3, 3, 2, 2, 2 (times
+    ``scale``) with the given ids: at 2 threads the greedy schedule takes
+    7, the static bound is 6 and v = 6, so the bounds leave the block to
+    the memo and the search."""
+    return TxSet([tx(tx_id, t * scale, [f"k{i}"])
+                  for i, (tx_id, t) in enumerate(zip(ids, (3, 3, 2, 2, 2)))])
+
+
 def test_value_oracle_memoizes_across_renamings():
     oracle = ValueOracle(N2)
-    v1 = oracle.value(TxSet([tx("a", 1, ["k1"]), tx("b", 2, ["k1"])]))
-    v2 = oracle.value(TxSet([tx("p", 2, ["k1"]), tx("q", 1, ["k1"])]))
-    assert v1 == v2 == 3
+    v1 = oracle.value(open_block("abcde"))
+    v2 = oracle.value(open_block("vwxyz"[::-1]))
+    assert v1 == v2 == 6
     assert len(oracle._memo) == 1
 
 
@@ -220,7 +229,34 @@ def test_value_oracle_memo_is_bounded(monkeypatch):
     monkeypatch.setattr(scheduler, "MEMO_CAP", 3)
     oracle = ValueOracle(N2)
     for i in range(1, 11):
-        block = TxSet([tx("a", i, ["k1"]), tx("b", 1, ["k1"])])
-        assert oracle.value(block) == i + 1
+        block = open_block("abcde", scale=i)
+        assert oracle.value(block) == 6 * i
         assert len(oracle._memo) <= 3
     assert oracle.value(TxSet([tx("a", 2, ["k1"]), tx("b", 1, ["k2"])])) == 2
+
+
+def test_value_oracle_answers_a_block_the_bounds_settle_without_the_memo():
+    block = TxSet([tx("a", 1, ["k1"]), tx("b", 2, ["k1"]),
+                   tx("c", "1/2", ["k2"])])
+    greedy = greedy_schedule(block, N2)
+    oracle = ValueOracle(N2)
+    assert oracle.value(block) == makespan(greedy) == 3
+    assert oracle.value(block) == optimal_makespan(block, N2)
+    assert optimal_schedule(block, N2).starts == greedy.starts
+    assert oracle._memo == {}
+
+
+def test_whole_block_search_budget_covers_small_blocks(monkeypatch):
+    # The plain search needs more than 2^4 nodes on this block; with its
+    # budget of max(2^n, 256) nodes it finishes without the lattice.
+    block = TxSet([tx("t0", 4, ["k2"]), tx("t1", 5, ["k1"]),
+                   tx("t2", 1, ["k1", "k2"]), tx("t3", 5, ["k0"])])
+    assert makespan(greedy_schedule(block, N2)) == 10
+
+    def no_lattice(*args):
+        raise AssertionError("the search ran out of budget")
+
+    monkeypatch.setattr(scheduler, "_fill", no_lattice)
+    sched = optimal_schedule(block, N2)
+    assert sched.starts == {"t0": 0, "t1": 0, "t2": 5, "t3": 4}
+    assert makespan(sched) == optimal_makespan(block, N2) == 9
