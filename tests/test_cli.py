@@ -390,14 +390,16 @@ def test_times_too_large_for_a_float_still_render(tmp_path, capsys):
     assert '<rect x="1290.00" ' in out.out  # b starts half-way
 
 
-def test_a_huge_key_pool_costs_no_memory(tmp_path):
-    # Under a 1 GiB address-space limit, so that listing every key name of
-    # the pool fails with MemoryError instead of exhausting the machine.
+def limit_memory():
+    """A 1 GiB address-space limit for a CLI subprocess, so that a run
+    that allocates without bound fails with MemoryError instead of
+    exhausting the machine."""
     import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
+def test_a_huge_key_pool_costs_no_memory(tmp_path):
+    # Listing every key name of the pool would fail under limit_memory.
     path = tmp_path / "workload.json"
     path.write_text(json.dumps({"key_pool": 10**12}))
     proc = run_subprocess(["simulate", "--blocks", "3", "--workload",
@@ -407,13 +409,7 @@ def test_a_huge_key_pool_costs_no_memory(tmp_path):
 
 
 def test_a_huge_key_count_is_a_usage_error(tmp_path):
-    # Under a 1 GiB address-space limit, as above: drawing 10^12 keys per
-    # transaction would end in MemoryError.
-    import resource
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
+    # Drawing 10^12 keys per transaction would fail under limit_memory.
     path = tmp_path / "workload.json"
     path.write_text(json.dumps({"key_pool": 10**12,
                                 "max_keys_per_tx": 10**12}))
