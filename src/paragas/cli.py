@@ -6,7 +6,7 @@ simulate (fee-market simulation).  Exit codes: 0 ok, 1 check failure,
 2 usage or input error.
 
 The environment variable PARAGAS_INSTANCE_CAP overrides the exact
-scheduler's instance size cap.
+scheduler's instance size cap, an integer from 1 to MAX_INSTANCE_CAP.
 """
 from __future__ import annotations
 
@@ -26,9 +26,9 @@ from .properties import (PROPERTIES, FixtureMismatch, property_matrix,
                          run_fixture_suite)
 from .render import gantt_svg, gantt_text
 from .sampling import SamplerConfig
-from .scheduler import (InstanceTooLarge, InvalidSchedule, SchedulerConfig,
-                        greedy_schedule, makespan, optimal_schedule,
-                        validate_schedule)
+from .scheduler import (MAX_INSTANCE_CAP, InstanceTooLarge, InvalidSchedule,
+                        SchedulerConfig, greedy_schedule, makespan,
+                        optimal_schedule, validate_schedule)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -71,11 +71,11 @@ def _scheduler_cfg(threads) -> SchedulerConfig:
         return SchedulerConfig(threads=threads)
     try:
         cap_n = int(cap)
-        if cap_n < 1:
+        if not 1 <= cap_n <= MAX_INSTANCE_CAP:
             raise ValueError
     except ValueError:
-        raise UsageError(f"{INSTANCE_CAP_ENV} must be a positive integer, "
-                         f"got {cap!r}")
+        raise UsageError(f"{INSTANCE_CAP_ENV} must be an integer from 1 to "
+                         f"{MAX_INSTANCE_CAP}, got {cap!r}")
     return SchedulerConfig(threads=threads, instance_cap=cap_n)
 
 

@@ -58,7 +58,7 @@ def to_rational(value: int | str | Fraction) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render a rational as "p" or "p/q" (never a decimal)."""
-    return str(Fraction(value))
+    return str(value)
 
 
 def format_approx(value: Fraction) -> str:

@@ -3,9 +3,9 @@
 ``gas(block, tx, mechanism, env)`` returns the exact rational amount of gas
 charged to ``tx`` when the block ``block`` is executed.  The ``PricingEnv``
 holds everything a mechanism reads besides the block: the key weights, the
-constant, the scheduler config and the block's subset-value table, which
-mechanisms that are independent of the rest of the block (current, weighted
-area, constant) never build.
+constant, the scheduler config, a makespan oracle and the block's
+subset-value table, which only Shapley and Banzhaf pricing build; TPM, ESM
+and XSM read v(T) from the oracle.
 """
 from __future__ import annotations
 
@@ -79,10 +79,9 @@ def block_prices(block: TxSet, vtable: SubsetValueTable) -> BlockPrices:
     coalition size, cached on the table.
 
     The sums are the ones ``subset_value_table`` records while it fills the
-    table; a table without them (one from ``SubsetValueTable.whole``, or
-    built by hand) is refused.  Shapley weights size s by s!(n - s - 1)!/n!,
-    Banzhaf weights every coalition by 1/2^(n-1); both divide by the
-    table's scale once at the end.
+    table; a table without them (one built by hand) is refused.  Shapley
+    weights size s by s!(n - s - 1)!/n!, Banzhaf weights every coalition by
+    1/2^(n-1); both divide by the table's scale once at the end.
     """
     sums = vtable.marginal_sums
     if vtable.base != block or sums is None:
@@ -150,11 +149,11 @@ def gas(block: TxSet, tx: Transaction, mechanism: str,
     if mechanism == "constant":
         return gas_constant(block, tx, env.constant)
     if mechanism == "shapley":
-        return gas_shapley(block, tx, env.vtable_for(block, full=True))
+        return gas_shapley(block, tx, env.vtable_for(block))
     if mechanism in ("banzhaf", "banzhaf_normalized"):
-        return gas_banzhaf(block, tx, env.vtable_for(block, full=True),
+        return gas_banzhaf(block, tx, env.vtable_for(block),
                            normalized=mechanism == "banzhaf_normalized")
-    v_block = env.vtable_for(block, full=False).value(block.ids)
+    v_block = env.value(block)
     if mechanism == "tpm":
         return gas_tpm(block, tx, v_block)
     if mechanism == "esm":
@@ -179,15 +178,11 @@ class PricingEnv:
         self.oracle = ValueOracle(self.scheduler_cfg)
         self._vtables: dict[TxSet, SubsetValueTable] = {}
 
-    def vtable_for(self, block: TxSet, full: bool) -> SubsetValueTable:
-        # TPM/ESM/XSM only read v(T); skip the 2^|T| table for them.
+    def vtable_for(self, block: TxSet) -> SubsetValueTable:
         cached = self._vtables.get(block)
-        if cached is not None and (not full or cached.full):
+        if cached is not None:
             return cached
-        if full:
-            vtable = subset_value_table(block, self.scheduler_cfg)
-        else:
-            vtable = SubsetValueTable.whole(block, self.oracle.value(block))
+        vtable = subset_value_table(block, self.scheduler_cfg)
         if len(self._vtables) > 4096:  # blocks rarely repeat across trials
             self._vtables.clear()
         self._vtables[block] = vtable
@@ -207,7 +202,4 @@ class PricingEnv:
                    Fraction(0))
 
     def value(self, block: TxSet) -> Fraction:
-        cached = self._vtables.get(block)
-        if cached is not None:
-            return cached.value(block.ids)
         return self.oracle.value(block)

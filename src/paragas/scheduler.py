@@ -47,8 +47,11 @@ without i.  The gcm module prices a block from these sums.
 
 Whole blocks.  Each block is compiled once: ``compiled`` keeps its integer
 form, with the greedy list order, in the TxSet, and every entry point
-below reads it.  ``optimal_makespan``, ``optimal_schedule`` and
-``ValueOracle.value`` first compare the greedy makespan with the static
+below reads it.  The compiled form also keeps v(T) per thread count once
+it is known: ``ValueOracle.value`` writes it after its first answer and
+``subset_value_table`` after its fill, and the oracle answers a later
+lookup of the block from it.  ``optimal_makespan``, ``optimal_schedule``
+and ``ValueOracle.value`` first compare the greedy makespan with the static
 lower bound (longest time, heaviest key, work over n); when they meet, v(T)
 is the greedy makespan and the starts are the greedy ones.  These are the
 starts the search would return: it only replaces the greedy starts with a
@@ -80,6 +83,9 @@ class InvalidSchedule(RuntimeError):
     scheduler, not in its input."""
 
 
+MAX_INSTANCE_CAP = 20  # a subset table of 20 transactions takes seconds
+
+
 @dataclass(frozen=True)
 class SchedulerConfig:
     threads: int | None = 2  # None means unbounded
@@ -88,6 +94,9 @@ class SchedulerConfig:
     def __post_init__(self):
         if self.threads is not None and self.threads < 2:
             raise ValueError(f"thread count must be >= 2, got {self.threads}")
+        if not 1 <= self.instance_cap <= MAX_INSTANCE_CAP:
+            raise ValueError(f"instance cap must be in 1..{MAX_INSTANCE_CAP}"
+                             f", got {self.instance_cap}")
 
 
 @dataclass(frozen=True)
@@ -157,9 +166,9 @@ class _Scaled:
     order), its time is ``times[i]`` in units of 1/``scale``, and its keys
     are the small ints ``keys[i]`` (bit set ``masks[i]``).  ``order`` lists
     every index longest time first (ties by index): the list order of the
-    greedy schedule."""
+    greedy schedule.  ``known`` maps a thread count to v(T), once known."""
 
-    __slots__ = ("scale", "times", "keys", "masks", "nkeys", "order")
+    __slots__ = ("scale", "times", "keys", "masks", "nkeys", "order", "known")
 
     def __init__(self, txs: TxSet):
         ratios = [tx.time.as_integer_ratio() for tx in txs]
@@ -178,6 +187,7 @@ class _Scaled:
         # A stable sort keeps ties in index order, also when reversed.
         self.order = sorted(range(len(times)), key=times.__getitem__,
                             reverse=True)
+        self.known: dict[int | None, Fraction] = {}
 
     def schedule(self, txs: TxSet, starts: dict) -> Schedule:
         """The Schedule of ``txs`` whose transaction i starts at
@@ -376,25 +386,22 @@ def _check_cap(n: int, cfg: SchedulerConfig) -> None:
             f"|T| = {n} exceeds instance cap {cfg.instance_cap}")
 
 
-def _bounds(sc: _Scaled, cfg: SchedulerConfig) -> tuple[int, int, dict]:
+def _bounds(sc: _Scaled, threads: int | None) -> tuple[int, int, dict]:
     """The static lower bound of the whole block, and the makespan and
     starts of its greedy schedule, an upper bound; v(T) is the greedy
     makespan when the two meet."""
-    _check_cap(len(sc.times), cfg)
-    return (sc.static_bound(range(len(sc.times)), cfg.threads),
-            *_greedy(sc, cfg.threads, sc.order))
+    return (sc.static_bound(range(len(sc.times)), threads),
+            *_greedy(sc, threads, sc.order))
 
 
-def _optimal(sc: _Scaled, cfg: SchedulerConfig,
-             want_starts: bool = True) -> tuple[int, dict]:
+def _optimal(sc: _Scaled, cfg: SchedulerConfig) -> tuple[int, dict]:
     """Least scaled makespan of the whole block and starts achieving it:
-    the greedy schedule unless the search beats it.  Without
-    ``want_starts`` the starts may be the greedy ones when the search
-    falls back to the lattice."""
-    floor, incumbent, starts = _bounds(sc, cfg)
+    the greedy schedule unless the search beats it."""
+    n, threads = len(sc.times), cfg.threads
+    _check_cap(n, cfg)
+    floor, incumbent, starts = _bounds(sc, threads)
     if incumbent == floor:
         return incumbent, starts
-    n, threads = len(sc.times), cfg.threads
     items = range(n)
     try:
         best, found = _search(sc, threads, items, incumbent, floor,
@@ -402,7 +409,7 @@ def _optimal(sc: _Scaled, cfg: SchedulerConfig,
     except _OverBudget:
         v = _fill(sc, threads)[0]
         best, found = v[-1], None
-        if want_starts and best < incumbent:
+        if best < incumbent:
             found = _search(sc, threads, items, incumbent, best, v)[1]
     if found is not None:
         starts = {}
@@ -420,7 +427,7 @@ def optimal_schedule(txs: TxSet, cfg: SchedulerConfig) -> Schedule:
 def optimal_makespan(txs: TxSet, cfg: SchedulerConfig) -> Fraction:
     """v(T): the exact minimum makespan over all valid schedules."""
     sc = compiled(txs)
-    return Fraction(_optimal(sc, cfg, want_starts=False)[0], sc.scale)
+    return Fraction(_optimal(sc, cfg)[0], sc.scale)
 
 
 MEMO_CAP = 1 << 15  # makespans an oracle keeps before starting afresh
@@ -429,62 +436,59 @@ MEMO_CAP = 1 << 15  # makespans an oracle keeps before starting afresh
 class ValueOracle:
     """Memoized access to v(T); the makespan only depends on the multiset of
     (time, keys) tuples and the thread count, so results are shared across
-    blocks.  A block whose greedy makespan meets its static bound is
-    answered from the bounds and not memoized.  The memo holds at most
-    ``MEMO_CAP`` entries."""
+    blocks.  A block whose v(T) its compiled form already knows is answered
+    from there, and one whose greedy makespan meets its static bound from
+    the bounds; neither is memoized.  The memo holds at most ``MEMO_CAP``
+    entries."""
 
     def __init__(self, cfg: SchedulerConfig):
         self.cfg = cfg
         self._memo: dict[tuple, Fraction] = {}
 
     def value(self, txs: TxSet) -> Fraction:
+        _check_cap(len(txs), self.cfg)
+        threads = self.cfg.threads
         sc = compiled(txs)
-        floor, span, _starts = _bounds(sc, self.cfg)
+        got = sc.known.get(threads)
+        if got is not None:
+            return got
+        floor, span, _starts = _bounds(sc, threads)
         if span == floor:
-            return Fraction(span, sc.scale)
-        key = txs.shape_key()
-        got = self._memo.get(key)
-        if got is None:
-            got = optimal_makespan(txs, self.cfg)
-            if len(self._memo) >= MEMO_CAP:
-                self._memo.clear()
-            self._memo[key] = got
+            got = Fraction(span, sc.scale)
+        else:
+            key = txs.shape_key()
+            got = self._memo.get(key)
+            if got is None:
+                got = optimal_makespan(txs, self.cfg)
+                if len(self._memo) >= MEMO_CAP:
+                    self._memo.clear()
+                self._memo[key] = got
+        sc.known[threads] = got
         return got
 
 
 class SubsetValueTable:
     """v(S) for subsets S of a base set.
 
-    ``scaled`` maps a bit mask to scale * v(S), where bit i stands for the
-    i-th transaction of ``base`` in id order.  A table from
-    ``subset_value_table`` holds every mask, as a list indexed by mask; one
-    from ``whole`` holds only the full block, as a dict.  ``values`` reads
-    the same numbers keyed by frozensets of ids.  ``marginal_sums[i][s]``,
-    recorded by ``subset_value_table`` (None on other tables), is the sum
-    of the scaled marginals v(S + i) - v(S) over the coalitions S of size s
-    without i; the gcm module prices a block only from these sums, so only
-    a table from ``subset_value_table`` can be priced.  ``prices`` is left
-    for the gcm module to cache the block's Shapley and Banzhaf prices in.
+    ``scaled`` is a list indexed by bit mask that holds scale * v(S), where
+    bit i stands for the i-th transaction of ``base`` in id order.
+    ``values`` reads the same numbers keyed by frozensets of ids.
+    ``marginal_sums[i][s]``, recorded by ``subset_value_table`` (None on a
+    table built otherwise), is the sum of the scaled marginals
+    v(S + i) - v(S) over the coalitions S of size s without i; the gcm
+    module prices a block only from these sums, so only a table from
+    ``subset_value_table`` can be priced.  ``prices`` is left for the gcm
+    module to cache the block's Shapley and Banzhaf prices in.
     """
 
-    def __init__(self, base: TxSet, scale: int, scaled: list | dict,
-                 marginal_sums: list | None = None):
+    def __init__(self, base: TxSet, scale: int, scaled: list,
+                 marginal_sums: list | None):
         self.base = base
         self.scale = scale
         self.scaled = scaled
         self.marginal_sums = marginal_sums
         self.prices = None
         self._bit = {tx.tx_id: 1 << i for i, tx in enumerate(base)}
-
-    @classmethod
-    def whole(cls, base: TxSet, value: Fraction) -> "SubsetValueTable":
-        """A table that knows only v(base), which TPM, ESM and XSM need."""
-        return cls(base, value.denominator,
-                   {(1 << len(base)) - 1: value.numerator})
-
-    @property
-    def full(self) -> bool:
-        return len(self.scaled) == 1 << len(self.base)
 
     def value(self, ids) -> Fraction:
         mask = 0
@@ -511,9 +515,7 @@ class _TableValues(Mapping):
 
     def __iter__(self):
         ids = [tx.tx_id for tx in self._table.base]
-        scaled = self._table.scaled
-        masks = range(len(scaled)) if isinstance(scaled, list) else scaled
-        for mask in masks:
+        for mask in range(len(self._table.scaled)):
             yield frozenset(tx_id for i, tx_id in enumerate(ids)
                             if mask >> i & 1)
 
@@ -524,6 +526,7 @@ def subset_value_table(txs: TxSet, cfg: SchedulerConfig) -> SubsetValueTable:
     _check_cap(len(txs), cfg)
     sc = compiled(txs)
     v, sums = _fill(sc, cfg.threads)
+    sc.known[cfg.threads] = Fraction(v[-1], sc.scale)
     return SubsetValueTable(txs, sc.scale, v, sums)
 
 

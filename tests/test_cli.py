@@ -120,9 +120,14 @@ def test_instance_cap_env_override(four_tx_block, capsys, monkeypatch):
     code, out = run(capsys, ["schedule", four_tx_block])
     assert code == 2
     assert "exceeds instance cap" in out.err
-    monkeypatch.setenv("PARAGAS_INSTANCE_CAP", "junk")
-    code, out = run(capsys, ["schedule", four_tx_block])
-    assert code == 2
+    # The cap is at most 20: past that a table of 2^|T| entries costs too
+    # much time and memory.
+    for cap in ("junk", "21", "1000000000000"):
+        monkeypatch.setenv("PARAGAS_INSTANCE_CAP", cap)
+        code, out = run(capsys, ["schedule", four_tx_block])
+        assert code == 2, cap
+        assert one_error_line(out.err), cap
+        assert out.out == "", cap
 
 
 def test_check_single_cell_pass_and_fixture_driven_cell(capsys):
@@ -210,13 +215,15 @@ def test_check_json_is_byte_identical_to_checked_in_output(capsys):
 
 def test_block_outputs_are_byte_identical_to_checked_in_output(
         capsys, monkeypatch):
-    # `schedule` and `gas --mech tpm|shapley` on blocks/*.json at threads
-    # 2, 3 and unbounded, keyed by argv, with the block path relative to
-    # the repository root.
+    # `schedule` and `gas --mech tpm|shapley|esm|xsm|banzhaf_normalized` on
+    # blocks/*.json, and `schedule` and `gas --mech tpm|esm|xsm` on
+    # tests/data/open_block.json (a block the bounds leave open), at
+    # threads 2, 3 and unbounded, keyed by argv, with the block path
+    # relative to the repository root.
     root = Path(__file__).resolve().parents[1]
     expected = json.loads((root / "tests" / "data" /
                            "cli_blocks.json").read_text(encoding="utf-8"))
-    assert len(expected) == 18
+    assert len(expected) == 48
     monkeypatch.chdir(root)
     for argv, want in expected.items():
         code, out = run(capsys, argv.split())

@@ -188,10 +188,7 @@ def test_tx_must_be_member_of_block():
 
 def test_vtable_required_and_must_match_block():
     block = TxSet([tx("a", 1, ["k1"]), tx("b", 1, ["k2"])])
-    whole = SubsetValueTable.whole(block, Fraction(1))  # knows only v(T)
-    with pytest.raises(MissingVTable):
-        gas_shapley(block, block.get("a"), whole)
-    unsummed = SubsetValueTable(block, 1, {0: 0, 1: 1, 2: 1, 3: 1})
+    unsummed = SubsetValueTable(block, 1, [0, 1, 1, 1], None)
     with pytest.raises(MissingVTable):
         gas_shapley(block, block.get("a"), unsummed)
     other = TxSet([tx("z", 1, ["k1"])])

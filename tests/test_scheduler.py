@@ -108,6 +108,8 @@ def test_instance_cap():
     with pytest.raises(InstanceTooLarge):
         optimal_schedule(TxSet([tx(f"t{i}", 1, [f"k{i}"])
                                 for i in range(4)]), small_cap)
+    with pytest.raises(ValueError):
+        SchedulerConfig(instance_cap=21)
 
 
 def test_thread_count_validation():
@@ -233,6 +235,35 @@ def test_value_oracle_memo_is_bounded(monkeypatch):
         assert oracle.value(block) == 6 * i
         assert len(oracle._memo) <= 3
     assert oracle.value(TxSet([tx("a", 2, ["k1"]), tx("b", 1, ["k2"])])) == 2
+
+
+@pytest.mark.parametrize("cfg", [N2, N3])
+def test_value_oracle_reads_v_of_a_tabled_block(cfg, monkeypatch):
+    block = open_block("abcde")
+    v = subset_value_table(block, cfg).value(block.ids)
+
+    def fail(*_args, **_kwargs):
+        raise AssertionError("v(T) of a tabled block was computed again")
+    monkeypatch.setattr(scheduler, "_greedy", fail)
+    monkeypatch.setattr(scheduler, "_search", fail)
+    assert ValueOracle(cfg).value(block) == v == {N2: 6, N3: 5}[cfg]
+
+
+def test_value_oracle_answers_a_repeated_block_without_bounds_or_search(
+        monkeypatch):
+    oracle = ValueOracle(N2)
+    block = open_block("abcde")
+    assert oracle.value(block) == 6
+
+    def fail(*_args, **_kwargs):
+        raise AssertionError("v(T) of a looked-up block was computed again")
+    monkeypatch.setattr(scheduler, "optimal_makespan", fail)
+    monkeypatch.setattr(scheduler, "_greedy", fail)
+    assert oracle.value(block) == 6
+    assert len(oracle._memo) == 1
+    # The instance cap still holds for a block whose value is known.
+    with pytest.raises(InstanceTooLarge):
+        ValueOracle(SchedulerConfig(threads=2, instance_cap=4)).value(block)
 
 
 def test_value_oracle_answers_a_block_the_bounds_settle_without_the_memo():
