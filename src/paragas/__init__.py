@@ -10,8 +10,8 @@ from .core import (BlockError, DuplicateId, EmptyKeySet, MalformedDocument,
                    make_transaction, parse_block, render_block, similar,
                    to_rational)
 from .feemarket import (BASE_FEE_GRID, BaseFeeState, Bid, BlockResult,
-                        SimulationReport, WorkloadConfig, base_fee_update,
-                        build_block, make_bid, simulate, workload)
+                        WorkloadConfig, base_fee_update, build_block,
+                        make_bid, simulate, workload)
 from .gcm import (EASY_ESTIMATION, MECHANISMS, TABLE_MECHANISMS, PricingEnv,
                   gas)
 from .properties import (PROPERTIES, REGISTRY, CheckOutcome, FixtureMismatch,

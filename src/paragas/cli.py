@@ -11,6 +11,7 @@ scheduler's instance size cap, an integer from 1 to MAX_INSTANCE_CAP.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -19,8 +20,8 @@ from fractions import Fraction
 
 from .core import (BlockError, WeightTable, format_approx, format_rational,
                    load_json, parse_block, to_rational)
-from .feemarket import (BaseFeeBelowFloor, BaseFeeState, WorkloadConfig,
-                        simulate, workload)
+from .feemarket import (BaseFeeBelowFloor, BaseFeeState, BlockResult,
+                        WorkloadConfig, simulate, workload)
 from .gcm import MECHANISMS, TABLE_MECHANISMS, PricingEnv
 from .properties import (PROPERTIES, FixtureMismatch, property_matrix,
                          run_fixture_suite)
@@ -239,6 +240,16 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
+CSV_COLUMNS = ("block_index", "base_fee", "gas_used", "gas_limit",
+               "makespan", "included_count")
+
+
+def _row(index: int, result: BlockResult, gas_limit: Fraction) -> tuple:
+    """A simulate row, in ``CSV_COLUMNS`` order, for CSV and JSON alike."""
+    return (index, format_rational(result.base_fee),
+            format_rational(result.gas_used), format_rational(gas_limit),
+            format_rational(result.makespan), len(result.included))
+
 
 def cmd_simulate(args) -> int:
     if args.workload is not None:
@@ -261,27 +272,33 @@ def cmd_simulate(args) -> int:
     except BaseFeeBelowFloor as exc:
         raise UsageError(f"--base-fee: {exc}")
     gas_limit = _positive_rational("--gas-limit", args.gas_limit)
-    stream = workload(wl_cfg, args.blocks, args.mech, env)
-    report = simulate(stream, args.blocks, args.mech, env, state0, gas_limit)
-    if args.format == "json":
-        doc = {
-            "config": {"mechanism": args.mech, "blocks": args.blocks,
-                       "seed": wl_cfg.seed, "gas_limit": args.gas_limit,
-                       "target": args.target, "base_fee": args.base_fee,
-                       "denominator": args.denominator,
-                       "threads": _threads_label(args.threads)},
-            "rows": [{"block_index": r.block_index,
-                      "base_fee": format_rational(r.base_fee),
-                      "gas_used": format_rational(r.gas_used),
-                      "gas_limit": format_rational(r.gas_limit),
-                      "makespan": format_rational(r.makespan),
-                      "included_count": r.included_count}
-                     for r in report.rows],
-            "final_base_fee": format_rational(report.final_state.base_fee),
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        sys.stdout.write(report.to_csv())
+    blocks = simulate(workload(wl_cfg, args.blocks, args.mech, env),
+                      args.mech, env, state0, gas_limit)
+    # Each row is written as its block is built, so memory stays flat
+    # however many blocks run.
+    out, state = sys.stdout, state0
+    if args.format == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for index, (result, state) in enumerate(blocks):
+            writer.writerow(_row(index, result, gas_limit))
+        return EXIT_OK
+    # The bytes of print(json.dumps(doc, indent=2)), one row at a time;
+    # --blocks is at least 1, so the rows list is never empty.
+    config = {"mechanism": args.mech, "blocks": args.blocks,
+              "seed": wl_cfg.seed, "gas_limit": args.gas_limit,
+              "target": args.target, "base_fee": args.base_fee,
+              "denominator": args.denominator,
+              "threads": _threads_label(args.threads)}
+    out.write(json.dumps({"config": config}, indent=2)[:-2]
+              + ',\n  "rows": [')
+    sep = "\n    "
+    for index, (result, state) in enumerate(blocks):
+        row = dict(zip(CSV_COLUMNS, _row(index, result, gas_limit)))
+        out.write(sep + json.dumps(row, indent=2).replace("\n", "\n    "))
+        sep = ",\n    "
+    final = json.dumps(format_rational(state.base_fee))
+    out.write(f'\n  ],\n  "final_base_fee": {final}\n}}\n')
     return EXIT_OK
 
 
@@ -354,6 +371,11 @@ def main(argv=None) -> int:
     except (UsageError, BlockError, InstanceTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader of stdout has gone (say, `| head`): stop quietly, with
+        # stdout on devnull so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

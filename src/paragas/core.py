@@ -257,12 +257,12 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def load_json(document: str, **kwargs):
+def load_json(document: str):
     """``json.loads`` that reports every undecodable document, including
-    integers too long to convert and nesting too deep to parse, as
-    MalformedDocument."""
+    integers too long to convert, nesting too deep to parse and a key given
+    twice in one object, as MalformedDocument."""
     try:
-        return json.loads(document, **kwargs)
+        return json.loads(document, object_pairs_hook=_unique_keys)
     except MalformedDocument:  # raised by a hook
         raise
     except (ValueError, RecursionError) as exc:
@@ -271,7 +271,7 @@ def load_json(document: str, **kwargs):
 
 def parse_block(document: str) -> tuple[TxSet, WeightTable]:
     """Parse the block JSON format; enforces all transaction invariants."""
-    data = load_json(document, object_pairs_hook=_unique_keys)
+    data = load_json(document)
     if not isinstance(data, dict):
         raise MalformedDocument("block document must be a JSON object")
     unknown = set(data) - _BLOCK_FIELDS

@@ -16,12 +16,13 @@ block) and the real gas is recomputed once on the final included set.  No
 fixed point is attempted; the per-transaction gap between estimate and final
 gas is reported instead.  The estimate never understates the final total, so
 the gas limit still binds.
+
+``simulate`` is a generator: it yields each block as it is built and keeps
+none of them, so the memory of a run does not grow with its length.
 """
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .core import (MalformedDocument, Transaction, TxSet, format_rational,
@@ -220,54 +221,13 @@ def workload(cfg: WorkloadConfig, blocks: int, mech: str, env: PricingEnv):
         yield bids
 
 
-@dataclass(frozen=True)
-class BlockRow:
-    block_index: int
-    base_fee: Fraction
-    gas_used: Fraction
-    gas_limit: Fraction
-    makespan: Fraction
-    included_count: int
-
-
-CSV_COLUMNS = ("block_index", "base_fee", "gas_used", "gas_limit",
-               "makespan", "included_count")
-
-
-@dataclass(frozen=True)
-class SimulationReport:
-    mechanism: str
-    rows: tuple
-    blocks: tuple = ()  # BlockResult per block, same order as rows
-    final_state: BaseFeeState = field(default_factory=BaseFeeState)
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in self.rows:
-            writer.writerow([row.block_index,
-                             format_rational(row.base_fee),
-                             format_rational(row.gas_used),
-                             format_rational(row.gas_limit),
-                             format_rational(row.makespan),
-                             row.included_count])
-        return out.getvalue()
-
-
-def simulate(bid_stream, blocks: int, mech: str, env: PricingEnv,
-             state0: BaseFeeState, gas_limit: Fraction) -> SimulationReport:
-    if blocks < 1:
-        raise ValueError("blocks must be >= 1")
+def simulate(mempools, mech: str, env: PricingEnv, state0: BaseFeeState,
+             gas_limit: Fraction):
+    """Build one block per mempool and yield ``(result, state)``: the
+    block's BlockResult and the base-fee state after it.  Nothing is kept
+    from one block to the next."""
     state = state0
-    rows: list[BlockRow] = []
-    results: list[BlockResult] = []
-    stream = iter(bid_stream)
-    for block_index in range(blocks):
-        mempool = next(stream, [])
+    for mempool in mempools:
         result = build_block(mempool, gas_limit, mech, env, state)
-        rows.append(BlockRow(block_index, state.base_fee, result.gas_used,
-                             gas_limit, result.makespan, len(result.included)))
-        results.append(result)
         state = base_fee_update(state, result.gas_used)
-    return SimulationReport(mech, tuple(rows), tuple(results), state)
+        yield result, state

@@ -66,9 +66,11 @@ v(T) no bound cuts the branch that leads to it.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 
 from .core import TxSet
@@ -141,19 +143,33 @@ def validate_schedule(schedule: Schedule, txs: TxSet,
     if violations:
         return ValidityReport(False, tuple(violations))
 
-    items = [(tx, schedule.starts[tx.tx_id]) for tx in txs]
-    # Conflict exclusion: shared keys require disjoint open intervals.
-    for i, (tx1, s1) in enumerate(items):
-        for tx2, s2 in items[i + 1:]:
-            if tx1.keys & tx2.keys:
-                if s1 < s2 + tx2.time and s2 < s1 + tx1.time:
-                    violations.append(Violation(
-                        "conflict-overlap", f"{tx1.tx_id},{tx2.tx_id}"))
-    # Concurrency cap: sweep over start instants.
+    starts = [schedule.starts[tx.tx_id] for tx in txs]
+    ends = [s + tx.time for tx, s in zip(txs, starts)]
+    # Conflict exclusion: shared keys require disjoint open intervals.  Per
+    # key, sweep its holders by start; the holders still open at a start
+    # overlap the one starting there.
+    holders: dict[str, list[int]] = {}
+    for i, tx in enumerate(txs):
+        for key in tx.keys:
+            holders.setdefault(key, []).append(i)
+    pairs = set()
+    for held in holders.values():
+        open_ends: list[tuple] = []
+        for j in sorted(held, key=starts.__getitem__):
+            while open_ends and open_ends[0][0] <= starts[j]:
+                heappop(open_ends)
+            pairs.update((min(i, j), max(i, j)) for _end, i in open_ends)
+            heappush(open_ends, (ends[j], j))
+    violations += [Violation("conflict-overlap",
+                             f"{txs.txs[i].tx_id},{txs.txs[j].tx_id}")
+                   for i, j in sorted(pairs)]
+    # Concurrency cap: at each start (in id order) the transactions running
+    # are those started by then less those already ended.
     if cfg.threads is not None:
-        for tx, start in items:
-            running = sum(1 for other, s in items
-                          if s <= start < s + other.time)
+        by_start, by_end = sorted(starts), sorted(ends)
+        for start in starts:
+            running = (bisect_right(by_start, start)
+                       - bisect_right(by_end, start))
             if running > cfg.threads:
                 violations.append(Violation(
                     "concurrency-exceeded", f"t={start} running={running}"))

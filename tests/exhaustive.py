@@ -6,13 +6,16 @@ library's branch-and-bound search.  The pricing oracles compute one
 transaction at a time straight from the definitions, reading v(S) through
 ``SubsetValueTable.value`` in exact rationals, where the library prices a
 whole block from integer sums recorded while it fills the table.  The
-marginal-sum sweep recomputes those sums from the finished table.
+marginal-sum sweep recomputes those sums from the finished table.  The
+schedule validator compares every pair of transactions and counts the
+running ones at every start, where the library sweeps sorted intervals.
 """
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
 from paragas import TxSet
+from paragas.scheduler import ValidityReport, Violation
 
 
 def exhaustive_makespan(txs: TxSet, threads) -> Fraction:
@@ -136,3 +139,36 @@ def marginal_sums(block, v) -> list:
                     f"{size} is negative: v is not monotone")
             sums[i][size] += marginal
     return sums
+
+
+def quadratic_validate_schedule(schedule, txs: TxSet, cfg) -> ValidityReport:
+    """``validate_schedule`` by pairwise comparison: the same violations in
+    the same order, in O(n^2) time."""
+    violations = []
+    for tx in txs:
+        if tx.tx_id not in schedule.starts:
+            violations.append(Violation("missing-tx", tx.tx_id))
+    for tx_id in schedule.starts:
+        if tx_id not in txs:
+            violations.append(Violation("unknown-tx", tx_id))
+    if violations:
+        return ValidityReport(False, tuple(violations))
+
+    items = [(tx, schedule.starts[tx.tx_id]) for tx in txs]
+    # Conflict exclusion: shared keys require disjoint open intervals.
+    for i, (tx1, s1) in enumerate(items):
+        for tx2, s2 in items[i + 1:]:
+            if tx1.keys & tx2.keys:
+                if s1 < s2 + tx2.time and s2 < s1 + tx1.time:
+                    violations.append(Violation(
+                        "conflict-overlap", f"{tx1.tx_id},{tx2.tx_id}"))
+    # Concurrency cap: sweep over start instants.
+    if cfg.threads is not None:
+        for tx, start in items:
+            running = sum(1 for other, s in items
+                          if s <= start < s + other.time)
+            if running > cfg.threads:
+                violations.append(Violation(
+                    "concurrency-exceeded", f"t={start} running={running}"))
+                break
+    return ValidityReport(not violations, tuple(violations))

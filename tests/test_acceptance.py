@@ -202,16 +202,17 @@ def test_acceptance_8_fee_market_sanity():
 
     def run():
         env = PricingEnv(scheduler_cfg=N2)
-        return simulate(workload(cfg, 1000, "current", env), 1000,
-                        "current", env, state0, limit)
+        return [result for result, _state in
+                simulate(workload(cfg, 1000, "current", env), "current",
+                         env, state0, limit)]
 
     r1 = run()
     fee_identity = all(
         result.per_tx_fee[tx_id] == result.per_tx_gas[tx_id]
         * result.base_fee
-        for result in r1.blocks for tx_id in result.per_tx_fee)
-    capacity = all(row.gas_used <= limit for row in r1.rows)
-    replay = r1.to_csv() == run().to_csv()
+        for result in r1 for tx_id in result.per_tx_fee)
+    capacity = all(result.gas_used <= limit for result in r1)
+    replay = r1 == run()
     elapsed = time.monotonic() - t0
     announce(8, ratios_ok and fee_identity and capacity and replay
              and elapsed < 60,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from paragas import Schedule, cli, render_block
+from paragas import Schedule, TxSet, cli, make_transaction, render_block
 from paragas.cli import main
 from paragas.sampling import SamplerConfig, sample_txset
 from paragas.scheduler import InvalidSchedule
@@ -34,13 +34,20 @@ def run(capsys, argv):
     return code, capsys.readouterr()
 
 
-def run_subprocess(argv, **kwargs):
-    """The CLI in a fresh interpreter that imports the package from src."""
+def cli_command(argv):
+    """The command and environment that run the CLI in a fresh
+    interpreter importing the package from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-m", "paragas.cli", *argv],
-                          capture_output=True, text=True, env=env, **kwargs)
+    return [sys.executable, "-m", "paragas.cli", *argv], env
+
+
+def run_subprocess(argv, **kwargs):
+    """The CLI in a fresh interpreter that imports the package from src."""
+    command, env = cli_command(argv)
+    return subprocess.run(command, capture_output=True, text=True, env=env,
+                          **kwargs)
 
 
 def test_gas_current_totals(four_tx_block, capsys):
@@ -218,12 +225,14 @@ def test_block_outputs_are_byte_identical_to_checked_in_output(
     # `schedule` and `gas --mech tpm|shapley|esm|xsm|banzhaf_normalized` on
     # blocks/*.json, and `schedule` and `gas --mech tpm|esm|xsm` on
     # tests/data/open_block.json (a block the bounds leave open), at
-    # threads 2, 3 and unbounded, keyed by argv, with the block path
-    # relative to the repository root.
+    # threads 2, 3 and unbounded; and `simulate` for 60 blocks, as CSV for
+    # current, tpm, esm, xsm and shapley and as JSON for current and
+    # shapley.  Keyed by argv, with the block path relative to the
+    # repository root.
     root = Path(__file__).resolve().parents[1]
     expected = json.loads((root / "tests" / "data" /
                            "cli_blocks.json").read_text(encoding="utf-8"))
-    assert len(expected) == 48
+    assert len(expected) == 64
     monkeypatch.chdir(root)
     for argv, want in expected.items():
         code, out = run(capsys, argv.split())
@@ -336,6 +345,108 @@ def test_long_simulation_prints_its_base_fees(capsys):
     rows = out.out.splitlines()
     assert len(rows) == 3501
     assert all(len(row.split(",")[1]) <= 21 for row in rows[1:])
+
+
+class _Sink:
+    """A stdout that keeps nothing of what is written to it."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_memory_does_not_grow_with_the_blocks(monkeypatch, fmt):
+    # Keeping every block of the run grew the peak by about 3 MB (CSV) and
+    # 4 MB (JSON) from 300 to 900 blocks; streamed, it stays flat.
+    import tracemalloc
+    monkeypatch.setattr(sys, "stdout", _Sink())
+
+    def peak(blocks):
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--blocks", str(blocks),
+                         "--format", fmt])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (code1, small), (code2, large) = peak(300), peak(900)
+    assert code1 == code2 == 0
+    assert large - small < 1_000_000
+
+
+def test_simulate_error_after_some_blocks_keeps_the_rows_before_it(
+        tmp_path, capsys):
+    # Every bid offers 2, below the starting fee of 3, so the first four
+    # blocks are empty; once the fee decays under 2, a block of all 20
+    # transactions exceeds the instance cap.  The rows already built stay
+    # on stdout.
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps({"bids_per_block": 20, "key_pool": 64,
+                                "max_keys_per_tx": 1,
+                                "price_range": [4, 4]}))
+    code, out = run(capsys, ["simulate", "--blocks", "30", "--base-fee", "3",
+                             "--gas-limit", "1000", "--workload", str(path)])
+    assert code == 2
+    assert one_error_line(out.err)
+    assert "exceeds instance cap" in out.err
+    rows = out.out.splitlines()
+    assert len(rows) == 5
+    assert all(row.split(",")[-1] == "0" for row in rows[1:])
+
+
+def test_simulate_into_a_closed_pipe_stops_quietly():
+    # As `paragas simulate --blocks 2000 | head -n 1`: the rows written
+    # after the reader has gone used to end in a BrokenPipeError traceback.
+    command, env = cli_command(["simulate", "--blocks", "2000"])
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"block_index,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+@pytest.mark.parametrize("reader", ["weights", "workload"])
+def test_duplicate_json_key_in_weights_or_workload_is_usage_error(
+        tmp_path, capsys, four_tx_block, reader):
+    # Both readers used to keep the last value: weight 5, seed 2.
+    path = tmp_path / "dup.json"
+    path.write_text({"weights": '{"k1": 1, "k1": 5}',
+                     "workload": '{"seed": 1, "seed": 2}'}[reader])
+    argv = {"weights": ["gas", four_tx_block, "--mech", "weighted_area",
+                        "--weights", str(path)],
+            "workload": ["simulate", "--blocks", "2",
+                         "--workload", str(path)]}[reader]
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert one_error_line(out.err)
+    assert "duplicate JSON key" in out.err
+    assert out.out == ""
+
+
+def test_greedy_schedule_of_thousands_of_transactions_answers(tmp_path):
+    # Validating the schedule compared every pair of transactions and
+    # counted the running ones at every start: about 40 s for this block.
+    # The timeout guards against that; it is not a speed gate.
+    rng = random.Random(1)
+    txs = TxSet(make_transaction(
+        f"t{i}", rng.randint(1, 12),
+        [f"k{rng.randrange(2000)}" for _ in range(rng.randint(1, 2))])
+        for i in range(4000))
+    path = tmp_path / "wide.json"
+    path.write_text(render_block(txs))
+    proc = run_subprocess(["schedule", str(path), "--mode", "greedy"],
+                          timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert len(doc["starts"]) == 4000
+    assert doc["validity"]["valid"] is True
 
 
 def test_simulate_rejects_a_base_fee_below_the_floor(capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from paragas import (BASE_FEE_GRID, BaseFeeState, Bid, PricingEnv, SchedulerConfig,
                      WorkloadConfig, base_fee_update, build_block, make_bid,
                      make_transaction, simulate, workload)
+from paragas.cli import CSV_COLUMNS, _row
 from paragas.core import MalformedDocument
 from paragas.feemarket import BaseFeeBelowFloor
 
@@ -120,12 +121,13 @@ def test_starting_base_fee_below_the_floor_is_refused():
 def test_zero_demand_decays_by_seven_eighths():
     e = env2()
     state0 = BaseFeeState(base_fee=Fraction(8), target_gas=Fraction(10))
-    report = simulate(iter([]), 4, "current", e, state0, Fraction(20))
-    fees = [row.base_fee for row in report.rows]
+    results = [result for result, _state in
+               simulate([[]] * 4, "current", e, state0, Fraction(20))]
+    fees = [result.base_fee for result in results]
     assert fees == [Fraction(8), Fraction(7), Fraction(49, 8),
                     Fraction(343, 64)]
-    assert all(row.gas_used == 0 and row.included_count == 0
-               for row in report.rows)
+    assert all(result.gas_used == 0 and len(result.included) == 0
+               for result in results)
 
 
 def test_simulation_deterministic_and_capacity_bounded():
@@ -136,13 +138,12 @@ def test_simulation_deterministic_and_capacity_bounded():
     def run():
         e = env2()
         stream = workload(cfg, 30, "current", e)
-        return simulate(stream, 30, "current", e, state0, limit)
+        return list(simulate(stream, "current", e, state0, limit))
 
     r1, r2 = run(), run()
-    assert r1.to_csv() == r2.to_csv()
-    for row in r1.rows:
-        assert row.gas_used <= limit
-    for result in r1.blocks:
+    assert r1 == r2
+    for result, _state in r1:
+        assert result.gas_used <= limit
         for tx_id, fee in result.per_tx_fee.items():
             assert fee == result.per_tx_gas[tx_id] * result.base_fee
 
@@ -153,22 +154,18 @@ def test_capacity_holds_for_block_dependent_mechanisms():
     for mech in ("shapley", "esm", "xsm", "tpm", "banzhaf"):
         e = env2()
         state0 = BaseFeeState(base_fee=Fraction(1), target_gas=Fraction(4))
-        report = simulate(workload(cfg, 15, mech, e), 15, mech, e,
-                          state0, limit)
-        for row in report.rows:
-            assert row.gas_used <= limit, mech
+        for result, _state in simulate(workload(cfg, 15, mech, e), mech, e,
+                                       state0, limit):
+            assert result.gas_used <= limit, mech
 
 
 def test_simulation_csv_shape():
     e = env2()
     state0 = BaseFeeState()
-    report = simulate(iter([]), 1, "current", e, state0, Fraction(20))
-    lines = report.to_csv().strip().split("\n")
-    assert lines[0] == ("block_index,base_fee,gas_used,gas_limit,"
-                        "makespan,included_count")
-    assert lines[1] == "0,1,0,20,0,0"
-    with pytest.raises(ValueError):
-        simulate(iter([]), 0, "current", e, state0, Fraction(20))
+    (result, _state), = simulate([[]], "current", e, state0, Fraction(20))
+    assert ",".join(CSV_COLUMNS) == ("block_index,base_fee,gas_used,"
+                                     "gas_limit,makespan,included_count")
+    assert _row(0, result, Fraction(20)) == (0, "1", "0", "20", "0", 0)
 
 
 def test_workload_config_parsing():
@@ -208,21 +205,23 @@ def test_base_fee_rises_by_at_least_one_unit():
 def test_off_grid_start_lands_on_grid_and_stays():
     e = env2()
     state0 = BaseFeeState(base_fee=Fraction(1, 3), target_gas=Fraction(10))
-    report = simulate(workload(WorkloadConfig(seed=1), 50, "current", e), 50,
-                      "current", e, state0, Fraction(20))
-    assert report.rows[0].base_fee == Fraction(1, 3)
-    for row in report.rows[1:]:
-        assert G % row.base_fee.denominator == 0
+    results = [result for result, _state in
+               simulate(workload(WorkloadConfig(seed=1), 50, "current", e),
+                        "current", e, state0, Fraction(20))]
+    assert results[0].base_fee == Fraction(1, 3)
+    for result in results[1:]:
+        assert G % result.base_fee.denominator == 0
 
 
 def test_ten_thousand_blocks_stay_on_grid():
     # The exact rational fee used to gain about 1.4 digits per block.
     e = env2()
     blocks = 10_000
-    report = simulate(workload(WorkloadConfig(seed=7), blocks, "current", e),
-                      blocks, "current", e, BaseFeeState(), Fraction(20))
-    fees = [row.base_fee for row in report.rows]
-    fees.append(report.final_state.base_fee)
+    pairs = list(simulate(workload(WorkloadConfig(seed=7), blocks, "current",
+                                   e), "current", e, BaseFeeState(),
+                          Fraction(20)))
+    fees = [result.base_fee for result, _state in pairs]
+    fees.append(pairs[-1][1].base_fee)
     assert all(G % fee.denominator == 0 for fee in fees)
 
 

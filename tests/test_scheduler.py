@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paragas import scheduler
 from paragas import (InstanceTooLarge, Schedule, SchedulerConfig, TxSet,
@@ -11,7 +13,7 @@ from paragas.sampling import SamplerConfig, rng_for, sample_transaction, \
     sample_txset
 
 from axioms import check_scheduler_axioms
-from exhaustive import exhaustive_makespan
+from exhaustive import exhaustive_makespan, quadratic_validate_schedule
 
 N2 = SchedulerConfig(threads=2)
 N3 = SchedulerConfig(threads=3)
@@ -76,6 +78,35 @@ def test_back_to_back_conflicting_txs_are_valid():
     block = TxSet([tx("a", 1, ["k1"]), tx("b", 1, ["k1"])])
     sched = Schedule(block, {"a": Fraction(0), "b": Fraction(1)})
     assert validate_schedule(sched, block, N2).valid
+
+
+@st.composite
+def scheduled_blocks(draw):
+    """A block with a schedule that is valid (greedy), or random starts
+    that mostly overlap, sometimes missing a transaction or naming an
+    unknown one."""
+    den = draw(st.sampled_from((1, 2, 3)))
+    pool = draw(st.sampled_from((2, 4, 8)))
+    block = TxSet(tx(f"t{i}", Fraction(draw(st.integers(1, 6)), den),
+                     [f"k{k}" for k in draw(st.sets(st.integers(1, pool),
+                                                    min_size=1, max_size=3))])
+                  for i in range(draw(st.integers(0, 12))))
+    cfg = SchedulerConfig(threads=draw(st.sampled_from((2, 3, None))))
+    if draw(st.booleans()):
+        return greedy_schedule(block, cfg), block, cfg
+    starts = {t.tx_id: Fraction(draw(st.integers(0, 12)), den)
+              for t in block if draw(st.integers(0, 20))}
+    if draw(st.integers(0, 20)) == 0:
+        starts["zz"] = Fraction(0)
+    return Schedule(block, starts), block, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(scheduled_blocks())
+def test_validator_agrees_with_the_pairwise_reference(case):
+    schedule, block, cfg = case
+    assert validate_schedule(schedule, block, cfg) == \
+        quadratic_validate_schedule(schedule, block, cfg)
 
 
 def test_optimal_schedule_small_cases():
