@@ -29,6 +29,7 @@ from .core import (MalformedDocument, Transaction, TxSet, format_rational,
                    load_json, to_rational)
 from .gcm import PricingEnv
 from .sampling import draw_keys, rng_for
+from .scheduler import InstanceTooLarge
 
 
 @dataclass(frozen=True)
@@ -225,9 +226,15 @@ def simulate(mempools, mech: str, env: PricingEnv, state0: BaseFeeState,
              gas_limit: Fraction):
     """Build one block per mempool and yield ``(result, state)``: the
     block's BlockResult and the base-fee state after it.  Nothing is kept
-    from one block to the next."""
+    from one block to the next.  A block over the instance cap is named in
+    the error: every block's makespan is exact, whatever the mechanism."""
     state = state0
-    for mempool in mempools:
-        result = build_block(mempool, gas_limit, mech, env, state)
+    for index, mempool in enumerate(mempools):
+        try:
+            result = build_block(mempool, gas_limit, mech, env, state)
+        except InstanceTooLarge as exc:
+            raise InstanceTooLarge(
+                f"block {index}: {exc}; the makespan column needs the exact "
+                f"v(T) of every block") from None
         state = base_fee_update(state, result.gas_used)
         yield result, state

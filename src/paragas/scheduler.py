@@ -46,23 +46,27 @@ since the sets of size s + 1 with i are all sets of that size less those
 without i.  The gcm module prices a block from these sums.
 
 Whole blocks.  Each block is compiled once: ``compiled`` keeps its integer
-form, with the greedy list order, in the TxSet, and every entry point
-below reads it.  The compiled form also keeps v(T) per thread count once
-it is known: ``ValueOracle.value`` writes it after its first answer and
-``subset_value_table`` after its fill, and the oracle answers a later
-lookup of the block from it.  ``optimal_makespan``, ``optimal_schedule``
-and ``ValueOracle.value`` first compare the greedy makespan with the static
-lower bound (longest time, heaviest key, work over n); when they meet, v(T)
-is the greedy makespan and the starts are the greedy ones.  These are the
-starts the search would return: it only replaces the greedy starts with a
-strictly shorter schedule, and none exists.  Only a block the bounds leave
-open goes to the oracle's memo and to the search, which runs on the whole
-block with a budget of max(2^|T|, 256) nodes.  If it runs out, they fill
-the table instead and read v(T) from it; for the starts, the search reruns
-from the greedy incumbent with floor v(T) and the table's c + v(R) cut.
-It returns the same schedule as the plain search: both return the first
-optimal schedule in depth-first order, and while the incumbent is above
-v(T) no bound cuts the branch that leads to it.
+form, with the greedy list order, in the TxSet, and every entry point below
+reads it.  The compiled form also keeps, per thread count, v(T) once it is
+known and the block's subset-value table once it is filled:
+``ValueOracle.value`` writes v(T) after its first answer, and
+``subset_value_table`` writes v(T) and the table (with the prices the gcm
+module caches on it) after its fill.  The oracle answers a later lookup of
+the block from ``known``, and ``gcm.PricingEnv.vtable_for`` reads the table
+from ``tables``; both live exactly as long as the block.
+``optimal_makespan``, ``optimal_schedule`` and ``ValueOracle.value`` first
+compare the greedy makespan with the static lower bound (longest time,
+heaviest key, work over n); when they meet, v(T) is the greedy makespan and
+the starts are the greedy ones.  These are the starts the search would
+return: it only replaces the greedy starts with a strictly shorter
+schedule, and none exists.  Only a block the bounds leave open goes to the
+oracle's memo and to the search, which runs on the whole block with a
+budget of max(2^|T|, 256) nodes.  If it runs out, they fill the table
+instead and read v(T) from it; for the starts, the search reruns from the
+greedy incumbent with floor v(T) and the table's c + v(R) cut.  It returns
+the same schedule as the plain search: both return the first optimal
+schedule in depth-first order, and while the incumbent is above v(T) no
+bound cuts the branch that leads to it.
 """
 from __future__ import annotations
 
@@ -182,9 +186,11 @@ class _Scaled:
     order), its time is ``times[i]`` in units of 1/``scale``, and its keys
     are the small ints ``keys[i]`` (bit set ``masks[i]``).  ``order`` lists
     every index longest time first (ties by index): the list order of the
-    greedy schedule.  ``known`` maps a thread count to v(T), once known."""
+    greedy schedule.  ``known`` maps a thread count to v(T), once known,
+    and ``tables`` to the block's SubsetValueTable, once filled."""
 
-    __slots__ = ("scale", "times", "keys", "masks", "nkeys", "order", "known")
+    __slots__ = ("scale", "times", "keys", "masks", "nkeys", "order", "known",
+                 "tables")
 
     def __init__(self, txs: TxSet):
         ratios = [tx.time.as_integer_ratio() for tx in txs]
@@ -204,6 +210,7 @@ class _Scaled:
         self.order = sorted(range(len(times)), key=times.__getitem__,
                             reverse=True)
         self.known: dict[int | None, Fraction] = {}
+        self.tables: dict[int | None, SubsetValueTable] = {}
 
     def schedule(self, txs: TxSet, starts: dict) -> Schedule:
         """The Schedule of ``txs`` whose transaction i starts at
@@ -484,27 +491,26 @@ class ValueOracle:
 
 
 class SubsetValueTable:
-    """v(S) for subsets S of a base set.
+    """v(S) for subsets S of a block, kept with the block's compiled form.
 
-    ``scaled`` is a list indexed by bit mask that holds scale * v(S), where
-    bit i stands for the i-th transaction of ``base`` in id order.
-    ``values`` reads the same numbers keyed by frozensets of ids.
-    ``marginal_sums[i][s]``, recorded by ``subset_value_table`` (None on a
-    table built otherwise), is the sum of the scaled marginals
-    v(S + i) - v(S) over the coalitions S of size s without i; the gcm
-    module prices a block only from these sums, so only a table from
-    ``subset_value_table`` can be priced.  ``prices`` is left for the gcm
-    module to cache the block's Shapley and Banzhaf prices in.
+    ``ids`` lists the block's transaction ids in id order; ``scaled`` is a
+    list indexed by bit mask that holds scale * v(S), where bit i stands
+    for ``ids[i]``.  ``values`` reads the same numbers keyed by frozensets
+    of ids.  ``marginal_sums[i][s]``, recorded by ``subset_value_table``,
+    is the sum of the scaled marginals v(S + i) - v(S) over the coalitions
+    S of size s without i; the gcm module prices a block from these sums
+    and caches the prices in ``prices``.  The table holds ids, not the
+    TxSet, so the compiled form that keeps it forms no cycle with the set.
     """
 
-    def __init__(self, base: TxSet, scale: int, scaled: list,
-                 marginal_sums: list | None):
-        self.base = base
+    def __init__(self, ids: tuple, scale: int, scaled: list,
+                 marginal_sums: list):
+        self.ids = ids
         self.scale = scale
         self.scaled = scaled
         self.marginal_sums = marginal_sums
         self.prices = None
-        self._bit = {tx.tx_id: 1 << i for i, tx in enumerate(base)}
+        self._bit = {tx_id: 1 << i for i, tx_id in enumerate(ids)}
 
     def value(self, ids) -> Fraction:
         mask = 0
@@ -530,7 +536,7 @@ class _TableValues(Mapping):
         return len(self._table.scaled)
 
     def __iter__(self):
-        ids = [tx.tx_id for tx in self._table.base]
+        ids = self._table.ids
         for mask in range(len(self._table.scaled)):
             yield frozenset(tx_id for i, tx_id in enumerate(ids)
                             if mask >> i & 1)
@@ -538,12 +544,15 @@ class _TableValues(Mapping):
 
 def subset_value_table(txs: TxSet, cfg: SchedulerConfig) -> SubsetValueTable:
     """v(S) for all 2^|T| subsets, filled by increasing mask so that every
-    v(S - i) is known before v(S); see the module docstring."""
+    v(S - i) is known before v(S), and kept with the compiled block; see
+    the module docstring."""
     _check_cap(len(txs), cfg)
     sc = compiled(txs)
     v, sums = _fill(sc, cfg.threads)
     sc.known[cfg.threads] = Fraction(v[-1], sc.scale)
-    return SubsetValueTable(txs, sc.scale, v, sums)
+    table = sc.tables[cfg.threads] = SubsetValueTable(
+        tuple(tx.tx_id for tx in txs), sc.scale, v, sums)
+    return table
 
 
 def _fill(sc: _Scaled, threads: int | None) -> tuple[list, list]:

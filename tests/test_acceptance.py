@@ -15,7 +15,7 @@ from paragas import (BaseFeeState, PricingEnv, SamplerConfig, SchedulerConfig,
                      optimal_makespan, optimal_schedule, property_matrix,
                      run_fixture_suite, simulate, subset_value_table,
                      validate_schedule, workload)
-from paragas.gcm import EASY_ESTIMATION, gas_shapley
+from paragas.gcm import EASY_ESTIMATION
 from paragas.properties import VIOLATED
 from paragas.sampling import rng_for, sample_transaction, sample_txset
 
@@ -138,10 +138,11 @@ def test_acceptance_5_shapley_internal_oracle():
         block = sample_txset(rng, cfg, rng.randint(0, 6))
         scfg = SchedulerConfig(threads=rng.choice((2, 3)))
         table = subset_value_table(block, scfg)
+        env = PricingEnv(scheduler_cfg=scfg)
         gases = {}
         forms_agree = True
         for t in block:
-            sub = gas_shapley(block, t, table)
+            sub = env.gas(block, t, "shapley")
             perm = shapley_permutation(block, t, table)
             forms_agree &= sub == perm
             gases[t.tx_id] = sub

@@ -159,6 +159,26 @@ def test_check_unknown_names_exit_usage(capsys):
     assert code == 2
 
 
+def test_gas_unknown_mechanism_lists_the_choices(capsys, monkeypatch):
+    # The choices come from gcm.MECHANISMS, in its order.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to it
+    root = Path(__file__).resolve().parents[1]
+    code, out = run(capsys, ["gas", str(root / "blocks" / "four_tx_block.json"),
+                             "--mech", "nope"])
+    assert code == 2
+    assert out.out == ""
+    assert out.err == (
+        "usage: paragas gas [-h]\n"
+        "                   [--mech {current,weighted_area,shapley,banzhaf,"
+        "banzhaf_normalized,tpm,esm,xsm,constant}]\n"
+        "                   [--threads N|unbounded] [--weights WEIGHTS]\n"
+        "                   [--format {json,text}]\n"
+        "                   block\n"
+        "paragas gas: error: argument --mech: invalid choice: 'nope' "
+        "(choose from 'current', 'weighted_area', 'shapley', 'banzhaf', "
+        "'banzhaf_normalized', 'tpm', 'esm', 'xsm', 'constant')\n")
+
+
 def test_simulate_csv_deterministic(capsys):
     args = ["simulate", "--blocks", "8", "--seed", "4", "--mech", "current"]
     code1, out1 = run(capsys, args)
@@ -223,16 +243,16 @@ def test_check_json_is_byte_identical_to_checked_in_output(capsys):
 def test_block_outputs_are_byte_identical_to_checked_in_output(
         capsys, monkeypatch):
     # `schedule` and `gas --mech tpm|shapley|esm|xsm|banzhaf_normalized` on
-    # blocks/*.json, and `schedule` and `gas --mech tpm|esm|xsm` on
-    # tests/data/open_block.json (a block the bounds leave open), at
+    # blocks/*.json, `schedule` and `gas --mech tpm|esm|xsm` on
+    # tests/data/open_block.json (a block the bounds leave open), and
+    # `gas --mech current|weighted_area|banzhaf|constant` on all three, at
     # threads 2, 3 and unbounded; and `simulate` for 60 blocks, as CSV for
-    # current, tpm, esm, xsm and shapley and as JSON for current and
-    # shapley.  Keyed by argv, with the block path relative to the
+    # every mechanism and as JSON for current and shapley.  Keyed by argv, with the block path relative to the
     # repository root.
     root = Path(__file__).resolve().parents[1]
     expected = json.loads((root / "tests" / "data" /
                            "cli_blocks.json").read_text(encoding="utf-8"))
-    assert len(expected) == 64
+    assert len(expected) == 104
     monkeypatch.chdir(root)
     for argv, want in expected.items():
         code, out = run(capsys, argv.split())
@@ -378,6 +398,45 @@ def test_simulate_memory_does_not_grow_with_the_blocks(monkeypatch, fmt):
     assert large - small < 1_000_000
 
 
+def test_simulate_shapley_memory_does_not_grow_with_the_blocks(monkeypatch):
+    # A per-env cache of subset tables kept every priced block alive, and
+    # grew the peak by about 2.5 MB from 50 to 150 blocks; kept with each
+    # block, a table is freed with it.
+    import tracemalloc
+    monkeypatch.setattr(sys, "stdout", _Sink())
+
+    def peak(blocks):
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--mech", "shapley",
+                         "--blocks", str(blocks)])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (code1, small), (code2, large) = peak(50), peak(150)
+    assert code1 == code2 == 0
+    assert large - small < 1_000_000
+
+
+def test_simulate_names_the_block_over_the_instance_cap(tmp_path, capsys):
+    # Under `current` the gas needs no schedule, but the makespan column
+    # does: the error says which block and why.
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps({"bids_per_block": 40, "time_range": [1, 1],
+                                "key_pool": 64, "max_keys_per_tx": 1}))
+    code, out = run(capsys, ["simulate", "--blocks", "3", "--mech",
+                             "current", "--gas-limit", "1000",
+                             "--workload", str(path)])
+    assert code == 2
+    assert one_error_line(out.err)
+    assert out.err == ("error: block 0: |T| = 27 exceeds instance cap 12; "
+                       "the makespan column needs the exact v(T) of every "
+                       "block\n")
+    assert out.out == ("block_index,base_fee,gas_used,gas_limit,makespan,"
+                       "included_count\n")
+
+
 def test_simulate_error_after_some_blocks_keeps_the_rows_before_it(
         tmp_path, capsys):
     # Every bid offers 2, below the starting fee of 3, so the first four
@@ -393,6 +452,7 @@ def test_simulate_error_after_some_blocks_keeps_the_rows_before_it(
     assert code == 2
     assert one_error_line(out.err)
     assert "exceeds instance cap" in out.err
+    assert out.err.startswith("error: block 4: ")
     rows = out.out.splitlines()
     assert len(rows) == 5
     assert all(row.split(",")[-1] == "0" for row in rows[1:])

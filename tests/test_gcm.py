@@ -1,13 +1,14 @@
+import gc
 from fractions import Fraction
 
 import pytest
 
 from paragas import (PricingEnv, SchedulerConfig, TxSet, WeightTable,
-                     make_transaction, subset_value_table)
+                     make_transaction, scheduler, subset_value_table)
 from paragas.core import Transaction
-from paragas.gcm import MissingVTable, TxNotInSet, gas_banzhaf, gas_shapley
+from paragas.gcm import MECHANISMS, TxNotInSet
+from paragas.scheduler import InstanceTooLarge
 from paragas.sampling import SamplerConfig, rng_for, sample_txset
-from paragas.scheduler import SubsetValueTable
 
 from exhaustive import banzhaf, shapley_permutation, shapley_subset
 
@@ -75,8 +76,9 @@ def test_shapley_permutation_equals_subset_form():
         rng = rng_for(cfg, "shapley-forms", i)
         block = sample_txset(rng, cfg, rng.randint(1, 5))
         table = subset_value_table(block, N2)
+        e = env2()
         for t in block:
-            assert gas_shapley(block, t, table) == \
+            assert e.gas(block, t, "shapley") == \
                 shapley_subset(block, t, table) == \
                 shapley_permutation(block, t, table)
 
@@ -94,13 +96,15 @@ def test_one_sweep_prices_equal_per_transaction_oracles():
         den = (1, 2, 3)[i % 3]
         threads = (2, 3, None)[i // 3 % 3]
         block = fractional_block(rng, cfg, rng.randint(1, 6), den)
-        table = subset_value_table(block, SchedulerConfig(threads=threads))
+        cfg_n = SchedulerConfig(threads=threads)
+        table = subset_value_table(block, cfg_n)
+        e = PricingEnv(scheduler_cfg=cfg_n)
         for t in block:
-            assert gas_shapley(block, t, table) == \
+            assert e.gas(block, t, "shapley") == \
                 shapley_subset(block, t, table), (i, t)
-            assert gas_banzhaf(block, t, table) == \
+            assert e.gas(block, t, "banzhaf") == \
                 banzhaf(block, t, table), (i, t)
-            assert gas_banzhaf(block, t, table, normalized=True) == \
+            assert e.gas(block, t, "banzhaf_normalized") == \
                 banzhaf(block, t, table, normalized=True), (i, t)
 
 
@@ -181,19 +185,66 @@ def test_tx_must_be_member_of_block():
     e = env2()
     block = TxSet([tx("a", 1, ["k1"])])
     stranger = tx("z", 1, ["k1"])
-    for mech in ("current", "weighted_area", "shapley", "tpm", "constant"):
+    for mech in MECHANISMS:
         with pytest.raises(TxNotInSet):
             e.gas(block, stranger, mech)
 
 
-def test_vtable_required_and_must_match_block():
-    block = TxSet([tx("a", 1, ["k1"]), tx("b", 1, ["k2"])])
-    unsummed = SubsetValueTable(block, 1, [0, 1, 1, 1], None)
-    with pytest.raises(MissingVTable):
-        gas_shapley(block, block.get("a"), unsummed)
-    other = TxSet([tx("z", 1, ["k1"])])
-    with pytest.raises(MissingVTable):
-        gas_banzhaf(block, block.get("a"), subset_value_table(other, N2))
+def test_constant_must_be_positive():
+    # Refused when the env is built, not on each call of the mechanism.
+    for constant in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="constant must be > 0"):
+            PricingEnv(scheduler_cfg=N2, constant=constant)
+
+
+def test_unknown_mechanism_is_refused():
+    block = TxSet([tx("a", 1, ["k1"])])
+    with pytest.raises(ValueError, match="unknown mechanism 'nope'"):
+        env2().gas(block, block.get("a"), "nope")
+
+
+def test_subset_table_is_kept_with_the_block(monkeypatch):
+    # Three mechanisms, each through its own env, fill the table of one
+    # block once per thread count; an env with a lower instance cap still
+    # refuses the block.
+    fills = []
+    fill = scheduler._fill
+
+    def counting_fill(sc, threads):
+        fills.append(threads)
+        return fill(sc, threads)
+
+    monkeypatch.setattr(scheduler, "_fill", counting_fill)
+    block = TxSet([tx("a", 1, ["k1"]), tx("b", 2, ["k1", "k2"]),
+                   tx("c", 3, ["k2"]), tx("d", 1, ["k3"])])
+    for threads, want in ((2, [2]), (3, [2, 3])):
+        for mech in ("shapley", "banzhaf", "banzhaf_normalized"):
+            env = PricingEnv(scheduler_cfg=SchedulerConfig(threads=threads))
+            for t in block:
+                env.gas(block, t, mech)
+        assert fills == want, threads
+    low_cap = PricingEnv(scheduler_cfg=SchedulerConfig(instance_cap=3))
+    with pytest.raises(InstanceTooLarge):
+        low_cap.gas(block, block.get("a"), "shapley")
+
+
+def test_a_priced_block_forms_no_reference_cycle():
+    # The table and prices kept with the compiled form hold ids, not the
+    # TxSet, so dropping the block frees it without the cyclic collector.
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        block = TxSet([tx("a", 1, ["k1"]), tx("b", 2, ["k1"]),
+                       tx("c", 2, ["k2"])])
+        for mech in MECHANISMS:
+            env2().block_gas(block, block, mech)
+        del block
+        gc.collect()
+        left = {type(obj).__name__ for obj in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not left & {"TxSet", "_Scaled", "SubsetValueTable"}
 
 
 def test_block_gas_empty_subset_and_containment():
