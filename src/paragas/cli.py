@@ -71,13 +71,10 @@ def _scheduler_cfg(threads) -> SchedulerConfig:
     if cap is None:
         return SchedulerConfig(threads=threads)
     try:
-        cap_n = int(cap)
-        if not 1 <= cap_n <= MAX_INSTANCE_CAP:
-            raise ValueError
+        return SchedulerConfig(threads=threads, instance_cap=int(cap))
     except ValueError:
         raise UsageError(f"{INSTANCE_CAP_ENV} must be an integer from 1 to "
                          f"{MAX_INSTANCE_CAP}, got {cap!r}")
-    return SchedulerConfig(threads=threads, instance_cap=cap_n)
 
 
 def _read(path: str, what: str) -> str:
@@ -200,12 +197,11 @@ def cmd_check(args) -> int:
             fixture_count += len(run_fixture_suite(mech))
         except FixtureMismatch as exc:
             failures.append(f"fixture mismatch ({mech}): {exc}")
-    report = property_matrix(mechs, SamplerConfig(seed=args.seed),
-                             args.budget, props)
+    sampler = SamplerConfig(seed=args.seed)
+    report = property_matrix(mechs, sampler, args.budget, props)
     failures += [f"matrix mismatch {mech}/{prop}: computed {got}, "
                  f"expected {want}" for mech, prop, got, want
                  in report.mismatches]
-    sampler = report.sampler
     cells = {f"{mech}/{prop}": cell
              for (mech, prop), cell in report.cells.items()}
     doc = {

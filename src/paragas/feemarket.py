@@ -14,8 +14,8 @@ For mechanisms whose gas depends on the rest of the block, the declared gas
 of a bid is an estimate (the transaction priced alone in an otherwise empty
 block) and the real gas is recomputed once on the final included set.  No
 fixed point is attempted; the per-transaction gap between estimate and final
-gas is reported instead.  The estimate never understates the final total, so
-the gas limit still binds.
+gas is kept in ``BlockResult.per_tx_gap``, which no command prints.  The
+estimate never understates the final total, so the gas limit still binds.
 
 ``simulate`` is a generator: it yields each block as it is built and keeps
 none of them, so the memory of a run does not grow with its length.

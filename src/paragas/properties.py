@@ -26,6 +26,7 @@ VIOLATED = "violated"
 HOLDS_EQUAL = "holds_with_equality"
 HOLDS_STRICT = "holds_strictly"
 NOT_APPLICABLE = "not_applicable"
+FIXTURE_THREADS = (2, 3)  # a fixture's outcome must not depend on these
 
 
 class MalformedInstance(ValueError):
@@ -569,14 +570,13 @@ _FIXTURES = {
 }
 
 
-def run_fixture_suite(mech: str | None = None,
-                      thread_counts: tuple = (2, 3)) -> list[FixtureResult]:
+def run_fixture_suite(mech: str | None = None) -> list[FixtureResult]:
     """Replay the hard-coded counterexamples, at each thread count, and
     check the published exact rationals.  Raises FixtureMismatch on any
     deviation."""
     results: list[FixtureResult] = []
     per_thread: dict[str, list[FixtureResult]] = {}
-    for n in thread_counts:
+    for n in FIXTURE_THREADS:
         env = PricingEnv(scheduler_cfg=SchedulerConfig(threads=n))
         for name, (fn, mechs) in sorted(_FIXTURES.items()):
             if mech is not None and mech not in mechs:
@@ -588,7 +588,7 @@ def run_fixture_suite(mech: str | None = None,
                 raise FixtureMismatch(
                     f"{name}: outcome differs between thread counts")
             per_thread[name] = got
-            if n == thread_counts[0]:
+            if n == FIXTURE_THREADS[0]:
                 results.extend(got)
     bad = [r for r in results if not r.ok]
     if bad:
@@ -615,7 +615,6 @@ class MatrixCell:
     trials: int
     strict_count: int
     equal_count: int
-    applicable: int
     witness: dict | None = None
 
 
@@ -624,7 +623,7 @@ def _classify(prop: str, counts: dict) -> str:
         return "yes"
     if counts["strict_premise"] and counts["strict_premise_equal"] == 0:
         return "<"
-    if counts["equal"] == counts["applicable"]:
+    if counts["strict"] == 0:
         return "="
     return "<="
 
@@ -646,10 +645,10 @@ def evaluate_cell(prop: str, mech: str, cfg: SamplerConfig, budget: int,
         threads = cfg.threads[0]
         outcome = check_property(prop, mech, seeded, envs[threads])
         if outcome.verdict == VIOLATED:
-            return MatrixCell("x", 1, 0, 0, 1,
+            return MatrixCell("x", 1, 0, 0,
                               _witness(prop, mech, threads, outcome))
-    counts = {"applicable": 0, "equal": 0, "strict": 0,
-              "strict_premise": 0, "strict_premise_equal": 0}
+    counts = {"equal": 0, "strict": 0, "strict_premise": 0,
+              "strict_premise_equal": 0}
     rng = rng_for(cfg, "matrix", mech, prop)
     for trial in range(budget):
         threads = rng.choice(cfg.threads)
@@ -657,10 +656,9 @@ def evaluate_cell(prop: str, mech: str, cfg: SamplerConfig, budget: int,
         outcome = check_property(prop, mech, inst, envs[threads])
         if outcome.verdict == NOT_APPLICABLE:
             continue
-        counts["applicable"] += 1
         if outcome.verdict == VIOLATED:
             return MatrixCell("x", trial + 1, counts["strict"],
-                              counts["equal"], counts["applicable"],
+                              counts["equal"],
                               _witness(prop, mech, threads, outcome))
         if outcome.verdict == HOLDS_STRICT:
             counts["strict"] += 1
@@ -671,13 +669,11 @@ def evaluate_cell(prop: str, mech: str, cfg: SamplerConfig, budget: int,
             if outcome.verdict == HOLDS_EQUAL:
                 counts["strict_premise_equal"] += 1
     return MatrixCell(_classify(prop, counts), budget, counts["strict"],
-                      counts["equal"], counts["applicable"], None)
+                      counts["equal"])
 
 
 @dataclass(frozen=True)
 class MatrixReport:
-    sampler: SamplerConfig
-    budget: int
     cells: dict  # (mech, prop) -> MatrixCell
     mismatches: tuple  # (mech, prop, computed, expected)
 
@@ -709,4 +705,4 @@ def property_matrix(mechs: Iterable[str] = TABLE_MECHANISMS,
             want = expected.get(mech, {}).get(prop)
             if want is not None and cell.symbol != want:
                 mismatches.append((mech, prop, cell.symbol, want))
-    return MatrixReport(cfg, budget, cells, tuple(mismatches))
+    return MatrixReport(cells, tuple(mismatches))

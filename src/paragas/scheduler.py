@@ -17,8 +17,10 @@ makespan; the bound "remaining work over n threads" may therefore be rounded
 up.
 
 Lattice bounds.  ``subset_value_table`` fills v(S) by increasing bit mask, so
-v(S - i) is known for every i in S when S comes up.  Then
-  lb = max(max_i v(S - i), heaviest key, longest time, ceil(work / n))
+v(S - i) is known for every i in S when S comes up.  With b(S) the one
+lower bound of this module, ``_Scaled.bound``, at clock 0 on S (longest
+time, heaviest key, ceil(work / n)),
+  lb = max(max_i v(S - i), b(S))
   ub = min_i v(S - i) + t_i
 bracket v(S): removing a transaction from a valid schedule leaves it valid
 (so v(S - i) <= v(S)), and appending i after an optimal schedule of S - i,
@@ -55,9 +57,9 @@ module caches on it) after its fill.  The oracle answers a later lookup of
 the block from ``known``, and ``gcm.PricingEnv.vtable_for`` reads the table
 from ``tables``; both live exactly as long as the block.
 ``optimal_makespan``, ``optimal_schedule`` and ``ValueOracle.value`` first
-compare the greedy makespan with the static lower bound (longest time,
-heaviest key, work over n); when they meet, v(T) is the greedy makespan and
-the starts are the greedy ones.  These are the starts the search would
+compare the greedy makespan with b(T), the bound that every node of the
+search applies too; when they meet, v(T) is the greedy makespan and the
+starts are the greedy ones.  These are the starts the search would
 return: it only replaces the greedy starts with a strictly shorter
 schedule, and none exists.  Only a block the bounds leave open goes to the
 oracle's memo and to the search, which runs on the whole block with a
@@ -71,7 +73,6 @@ bound cuts the branch that leads to it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -218,23 +219,43 @@ class _Scaled:
         return Schedule(txs, {txs.txs[i].tx_id: Fraction(s, self.scale)
                               for i, s in starts.items()})
 
-    def static_bound(self, items, threads: int | None) -> int:
-        """Lower bound on the makespan of ``items``: the longest time, the
-        heaviest key and, with n threads, the work over n rounded up."""
+    def bound(self, threads: int | None):
+        """The one lower bound, as ``lower_bound(clock, running, items)``:
+        no schedule that runs the (end, i) pairs ``running`` past ``clock``
+        and starts ``items`` at ``clock`` or later ends before it."""
         times, keys = self.times, self.keys
-        load = [0] * self.nkeys
-        work = longest = 0
-        for i in items:
-            t = times[i]
-            work += t
-            if t > longest:
-                longest = t
-            for k in keys[i]:
-                load[k] += t
-        lb = max(longest, max(load, default=0))
-        if threads is not None:
-            lb = max(lb, -(-work // threads))
-        return lb
+        slots = self.nkeys or 1  # max(load) needs a slot when no key is held
+
+        def lower_bound(clock: int, running, items) -> int:
+            load = [0] * slots
+            work = longest = 0
+            for i in items:
+                t = times[i]
+                work += t
+                if t > longest:
+                    longest = t
+                for k in keys[i]:
+                    load[k] += t
+            heaviest = max(load)
+            lb = clock + (longest if longest > heaviest else heaviest)
+            held = 0  # work of the running transactions left after `clock`
+            for end, i in running:
+                held += end - clock
+                if end > lb:
+                    lb = end
+                # Every remaining user of key k runs after its holder i.
+                for k in keys[i]:
+                    if end + load[k] > lb:
+                        lb = end + load[k]
+            if threads is not None:
+                # All residual work happens after `clock` on at most n
+                # threads; every makespan is an integer, so round up.
+                cand = clock - (-(work + held) // threads)
+                if cand > lb:
+                    lb = cand
+            return lb
+
+        return lower_bound
 
 
 def compiled(txs: TxSet) -> _Scaled:
@@ -308,44 +329,10 @@ def _search(sc: _Scaled, threads: int | None, items, best: int, floor: int,
     linked list ``((batch, start), rest)`` of transactions started
     together; otherwise None for the starts.
     """
-    times, keys, masks, nkeys = sc.times, sc.keys, sc.masks, sc.nkeys
+    times, masks = sc.times, sc.masks
+    lower_bound = sc.bound(threads)
     found: list = [best, None]
     visited = [0]
-
-    def lower_bound(clock: int, running: list, remaining: list) -> int:
-        lb = clock
-        held = 0  # work of the running transactions left after `clock`
-        for end, _i in running:
-            if end > lb:
-                lb = end
-            held += end - clock
-        load = [0] * nkeys
-        work = longest = 0
-        for i in remaining:
-            t = times[i]
-            work += t
-            if t > longest:
-                longest = t
-            for k in keys[i]:
-                load[k] += t
-        if threads is not None:
-            # All residual work happens after `clock` on at most n threads;
-            # every makespan is an integer, so the quotient rounds up.
-            cand = clock - (-(work + held) // threads)
-        else:
-            cand = clock + longest
-        if cand > lb:
-            lb = cand
-        # Per-key serialization: every remaining user of key k runs after the
-        # running holder of k (if any) finishes.
-        cand = clock + max(load)
-        if cand > lb:
-            lb = cand
-        for end, i in running:
-            for k in keys[i]:
-                if load[k] and end + load[k] > lb:
-                    lb = end + load[k]
-        return lb
 
     def recurse(clock: int, running: list, remaining: list, left: int,
                 starts, reached: int) -> None:
@@ -413,7 +400,7 @@ def _bounds(sc: _Scaled, threads: int | None) -> tuple[int, int, dict]:
     """The static lower bound of the whole block, and the makespan and
     starts of its greedy schedule, an upper bound; v(T) is the greedy
     makespan when the two meet."""
-    return (sc.static_bound(range(len(sc.times)), threads),
+    return (sc.bound(threads)(0, (), range(len(sc.times))),
             *_greedy(sc, threads, sc.order))
 
 
@@ -519,27 +506,12 @@ class SubsetValueTable:
         return Fraction(self.scaled[mask], self.scale)
 
     @property
-    def values(self) -> Mapping:
-        return _TableValues(self)
-
-
-class _TableValues(Mapping):
-    """frozenset of ids -> v(S), read from a SubsetValueTable."""
-
-    def __init__(self, table: SubsetValueTable):
-        self._table = table
-
-    def __getitem__(self, ids) -> Fraction:
-        return self._table.value(ids)
-
-    def __len__(self) -> int:
-        return len(self._table.scaled)
-
-    def __iter__(self):
-        ids = self._table.ids
-        for mask in range(len(self._table.scaled)):
-            yield frozenset(tx_id for i, tx_id in enumerate(ids)
-                            if mask >> i & 1)
+    def values(self) -> dict:
+        """frozenset of ids -> v(S) for every subset S, built when read."""
+        ids, scale = self.ids, self.scale
+        return {frozenset(tx_id for i, tx_id in enumerate(ids)
+                          if mask >> i & 1): Fraction(v, scale)
+                for mask, v in enumerate(self.scaled)}
 
 
 def subset_value_table(txs: TxSet, cfg: SchedulerConfig) -> SubsetValueTable:
@@ -560,6 +532,7 @@ def _fill(sc: _Scaled, threads: int | None) -> tuple[list, list]:
     of ``SubsetValueTable`` recorded on the way; see the module docstring."""
     times, masks, n = sc.times, sc.masks, len(sc.times)
     total, order = sum(times), sc.order
+    lower_bound = sc.bound(threads)
     # neighbours[i]: the transactions that share a key with i, as a mask.
     neighbours = [sum(1 << j for j in range(n)
                       if j != i and masks[i] & masks[j]) for i in range(n)]
@@ -588,7 +561,7 @@ def _fill(sc: _Scaled, threads: int | None) -> tuple[list, list]:
                 lb = ub = max(v[part], v[mask ^ part])
         if lb < ub:
             items = [i for i in order if mask >> i & 1]
-            lb = max(lb, sc.static_bound(items, threads))
+            lb = max(lb, lower_bound(0, (), items))
             if lb < ub:
                 ub = min(ub, _greedy(sc, threads, items)[0])
             if lb < ub:

@@ -5,7 +5,10 @@ Blocks have 2-8 transactions with times k/1, k/2 or k/3, drawn from a key
 pool of 2 (dense conflicts), 5 or 10 (sparse, so that subsets often split
 into conflict-free parts and the component rule decides them), at 2, 3 or
 unbounded threads.  The unpruned enumeration of ``exhaustive.py`` takes
-seconds on 7 transactions, so it checks blocks of at most 6.
+seconds on 7 transactions, so it checks blocks of at most 6.  Blocks with
+wide-range integer times (500-1000 or 21000-100000, as real gas spreads)
+over a dense or a near conflict-free key pool are checked apart: these
+are the blocks whose subsets the bounds leave open most often.
 """
 from fractions import Fraction
 from unittest import mock
@@ -44,7 +47,19 @@ def searched(block, threads, items):
     incumbent = scheduler._greedy(
         sc, threads, [i for i in sc.order if i in items])[0]
     return scheduler._search(sc, threads, items, incumbent,
-                             sc.static_bound(items, threads))[0]
+                             sc.bound(threads)(0, (), items))[0]
+
+
+@st.composite
+def wide_blocks(draw, max_txs):
+    low, high = draw(st.sampled_from(((500, 1000), (21000, 100000))))
+    pool = draw(st.sampled_from((2, 5, 1000)))
+    txs = []
+    for i in range(draw(st.integers(2, max_txs))):
+        keys = draw(st.sets(st.integers(1, pool), min_size=1, max_size=2))
+        txs.append(make_transaction(f"t{i}", draw(st.integers(low, high)),
+                                    [f"k{k}" for k in keys]))
+    return TxSet(txs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -59,6 +74,25 @@ def test_every_entry_is_the_exhaustive_makespan(block, threads):
 @settings(max_examples=100, deadline=None)
 @given(block=blocks(), threads=threads_st)
 def test_every_entry_is_the_searched_makespan(block, threads):
+    table = subset_value_table(block, SchedulerConfig(threads=threads))
+    n = len(block)
+    for mask in range(1, 1 << n):
+        items = [i for i in range(n) if mask >> i & 1]
+        assert table.scaled[mask] == searched(block, threads, items), mask
+
+
+@settings(max_examples=40, deadline=None)
+@given(block=wide_blocks(max_txs=6), threads=threads_st)
+def test_wide_range_entries_are_the_exhaustive_makespan(block, threads):
+    table = subset_value_table(block, SchedulerConfig(threads=threads))
+    for ids, v in table.values.items():
+        assert v == exhaustive_makespan(block.subset(ids), threads), \
+            sorted(ids)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block=wide_blocks(max_txs=8), threads=threads_st)
+def test_wide_range_entries_are_the_searched_makespan(block, threads):
     table = subset_value_table(block, SchedulerConfig(threads=threads))
     n = len(block)
     for mask in range(1, 1 << n):

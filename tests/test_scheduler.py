@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paragas import scheduler
-from paragas import (InstanceTooLarge, Schedule, SchedulerConfig, TxSet,
-                     ValueOracle, greedy_schedule, make_transaction, makespan,
-                     optimal_makespan, optimal_schedule, subset_value_table,
-                     validate_schedule)
+from paragas import (InstanceTooLarge, Schedule, SchedulerConfig,
+                     Transaction, TxSet, ValueOracle, greedy_schedule,
+                     make_transaction, makespan, optimal_makespan,
+                     optimal_schedule, subset_value_table, validate_schedule)
 from paragas.sampling import SamplerConfig, rng_for, sample_transaction, \
     sample_txset
 
@@ -119,6 +119,21 @@ def test_optimal_schedule_small_cases():
     assert optimal_makespan(serial, N2) == 2
     disjoint = TxSet([tx("a", 1, ["k1"]), tx("b", 1, ["k2"])])
     assert optimal_makespan(disjoint, N2) == 1
+
+
+def test_keyless_open_block_is_searched():
+    # The CLI refuses an empty key set, but a hand-built Transaction may
+    # hold none.  Greedy takes 7 and the static bound is 6, so the block
+    # reaches the search, whose bound must not need a key.
+    block = TxSet(Transaction(f"t{i}", Fraction(t), frozenset())
+                  for i, t in enumerate((3, 3, 2, 2, 2)))
+    assert makespan(greedy_schedule(block, N2)) == 7
+    assert optimal_makespan(block, N2) == 6
+    sched = optimal_schedule(block, N2)
+    assert validate_schedule(sched, block, N2).valid
+    assert makespan(sched) == 6
+    assert ValueOracle(N2).value(block) == 6
+    assert subset_value_table(block, N2).value(block.ids) == 6
 
 
 def test_greedy_basics():
