@@ -12,8 +12,7 @@ from .core import (BlockError, DuplicateId, EmptyKeySet, MalformedDocument,
 from .feemarket import (BASE_FEE_GRID, BaseFeeState, Bid, BlockResult,
                         WorkloadConfig, base_fee_update, build_block,
                         make_bid, simulate, workload)
-from .gcm import (EASY_ESTIMATION, MECHANISMS, TABLE_MECHANISMS, PricingEnv,
-                  gas)
+from .gcm import MECHANISMS, TABLE_MECHANISMS, PricingEnv, gas
 from .properties import (PROPERTIES, REGISTRY, CheckOutcome, FixtureMismatch,
                          MatrixReport, check_property, env_pool,
                          evaluate_cell, known_violations,

@@ -91,13 +91,21 @@ class Transaction:
 
 def make_transaction(tx_id: str, time: int | str | Fraction,
                      keys: Iterable[str]) -> Transaction:
+    """A checked transaction.  The id and every key must be strings: a
+    number is refused, not coerced, since 1 and "1" would name one key."""
+    keys = tuple(keys)
+    if not isinstance(tx_id, str):
+        raise MalformedDocument(f"transaction id {tx_id!r} is not a string")
+    if not all(isinstance(k, str) for k in keys):
+        raise MalformedDocument(
+            f"transaction {tx_id!r}: keys must be strings, got {list(keys)!r}")
     t = to_rational(time)
     if t <= 0:
         raise NonPositiveTime(f"transaction {tx_id!r}: time must be > 0, got {t}")
-    key_set = frozenset(str(k) for k in keys)
+    key_set = frozenset(keys)
     if not key_set:
         raise EmptyKeySet(f"transaction {tx_id!r}: key set must be non-empty")
-    return Transaction(str(tx_id), t, key_set)
+    return Transaction(tx_id, t, key_set)
 
 
 def similar(tx1: Transaction, tx2: Transaction) -> bool:
@@ -294,7 +302,7 @@ def parse_block(document: str) -> tuple[TxSet, WeightTable]:
             keys = entry["keys"]
         except KeyError as exc:
             raise MalformedDocument(f"transaction missing field {exc}") from exc
-        if not isinstance(tx_id, str) or not isinstance(keys, list):
+        if not isinstance(keys, list):
             raise MalformedDocument(f"bad transaction entry: {entry!r}")
         txs.append(make_transaction(tx_id, time, keys))
     raw_weights = data.get("weights", {})

@@ -90,9 +90,6 @@ MECHANISMS = tuple(_GAS)
 TABLE_MECHANISMS = ("current", "weighted_area", "shapley", "banzhaf",
                     "tpm", "esm", "xsm")
 
-# Mechanisms whose gas for a transaction never depends on the rest of the block.
-EASY_ESTIMATION = frozenset({"current", "weighted_area", "constant"})
-
 
 def gas(block: TxSet, tx: Transaction, mechanism: str,
         env: PricingEnv) -> Fraction:

@@ -374,68 +374,113 @@ def sample_instance(prop: str, rng, cfg: SamplerConfig):
 
 # ---------------------------------------------------------------------------
 # Known violation witnesses (the appendix counterexamples, plus two
-# constructed ones for mechanisms that price each transaction in isolation)
+# constructed ones for mechanisms that price each transaction in isolation),
+# and the fixtures: the appendix counterexamples replayed through their
+# property checks against the published exact numbers.
 
 
 def _t(tx_id: str, time, keys) -> Transaction:
     return Transaction(tx_id, Fraction(time), frozenset(keys))
 
 
+def _lemma5() -> PairInstance:
+    return PairInstance(TxSet([_t("f1", 1, {"k1"}), _t("f2", 3, {"k2"})]),
+                        _t("x1", 2, {"k1"}), _t("x2", 1, {"k2"}))
+
+
+def _isolation() -> PairInstance:
+    # A cheap transaction on a hot key raises the makespan more than an
+    # expensive one on a free key; isolation pricing cannot see that.
+    return PairInstance(TxSet([_t("f1", 3, {"k1"})]),
+                        _t("x1", 2, {"k2"}), _t("x2", 1, {"k1"}))
+
+
+def _estimation() -> EstimationInstance:
+    return EstimationInstance(
+        TxSet(), TxSet([_t("a1", 1, {"k1"}), _t("a2", 1, {"k2"})]),
+        _t("x", 1, {"k1"}))
+
+
+# (mechanism, property) -> a function that builds the cell's known violation.
+# Each use builds the instance afresh: a block keeps what is computed on it,
+# so a shared instance would carry that work from one command to the next.
+_KNOWN = {
+    ("current", "scheduling_monotonicity"): _isolation,
+    ("weighted_area", "scheduling_monotonicity"): _isolation,
+    ("shapley", "scheduling_monotonicity"): _lemma5,
+    ("banzhaf", "scheduling_monotonicity"): _lemma5,
+    ("tpm", "scheduling_monotonicity"): _lemma5,
+    ("shapley", "bundling"): lambda: BundlingInstance(
+        TxSet([_t("f4", 1, {"k1"})]),
+        _t("x1", 1, {"k2"}), _t("x2", 1, {"k2"}), _t("x3", 2, {"k2"})),
+    ("esm", "bundling"): lambda: BundlingInstance(
+        TxSet([_t("f4", 1, {"k1"})]),
+        _t("x1", 1, {"k1"}), _t("x2", 1, {"k1"}), _t("x3", 2, {"k1"})),
+    ("shapley", "set_inclusion"): lambda: SetInclusionInstance(
+        TxSet([_t("f1", 1, {"k1"})]),
+        TxSet([_t("x2", 1, {"k2"}), _t("x3", 1, {"k2"})]),
+        TxSet([_t("x2", 1, {"k2"}), _t("x3", 1, {"k2"}),
+               _t("x4", 1, {"k1"})])),
+    ("banzhaf", "set_inclusion"): lambda: SetInclusionInstance(
+        TxSet(),
+        TxSet([_t("x1", 1, {"k1"}), _t("x2", 1, {"k1"})]),
+        TxSet([_t("x1", 1, {"k1"}), _t("x2", 1, {"k1"}),
+               _t("x3", 1, {"k2"})])),
+    ("xsm", "set_inclusion"): lambda: SetInclusionInstance(
+        TxSet(),
+        TxSet([_t("x1", 1, {"k1"})]),
+        TxSet([_t("x1", 1, {"k1"}), _t("x2", 1, {"k2"})])),
+    ("current", "efficiency"): lambda: EfficiencyInstance(
+        TxSet([_t("f1", 1, {"k1"}), _t("f2", 1, {"k2"})])),
+    ("weighted_area", "efficiency"): lambda: EfficiencyInstance(
+        TxSet([_t("f1", 1, {"k1"})])),
+    ("banzhaf", "efficiency"): lambda: EfficiencyInstance(
+        TxSet([_t("f1", 1, {"k1"}), _t("f2", 1, {"k1"}),
+               _t("f3", 1, {"k2"})])),
+    ("xsm", "efficiency"): lambda: EfficiencyInstance(
+        TxSet([_t("f1", 1, {"k1"})])),
+    **{(mech, "easy_gas_estimation"): _estimation
+       for mech in ("shapley", "banzhaf", "tpm", "esm", "xsm")},
+}
+
+
 def known_violations() -> dict:
     """One concrete Violated instance per (mechanism, property) cell that the
     comparison matrix marks as violated."""
-    lemma5 = PairInstance(TxSet([_t("f1", 1, {"k1"}), _t("f2", 3, {"k2"})]),
-                          _t("x1", 2, {"k1"}), _t("x2", 1, {"k2"}))
-    # A cheap transaction on a hot key raises the makespan more than an
-    # expensive one on a free key; isolation pricing cannot see that.
-    isolation = PairInstance(TxSet([_t("f1", 3, {"k1"})]),
-                             _t("x1", 2, {"k2"}), _t("x2", 1, {"k1"}))
-    estimation = EstimationInstance(
-        TxSet(), TxSet([_t("a1", 1, {"k1"}), _t("a2", 1, {"k2"})]),
-        _t("x", 1, {"k1"}))
-    table: dict[tuple[str, str], object] = {
-        ("current", "scheduling_monotonicity"): isolation,
-        ("weighted_area", "scheduling_monotonicity"): isolation,
-        ("shapley", "scheduling_monotonicity"): lemma5,
-        ("banzhaf", "scheduling_monotonicity"): lemma5,
-        ("tpm", "scheduling_monotonicity"): lemma5,
-        ("shapley", "bundling"): BundlingInstance(
-            TxSet([_t("f4", 1, {"k1"})]),
-            _t("x1", 1, {"k2"}), _t("x2", 1, {"k2"}), _t("x3", 2, {"k2"})),
-        ("esm", "bundling"): BundlingInstance(
-            TxSet([_t("f4", 1, {"k1"})]),
-            _t("x1", 1, {"k1"}), _t("x2", 1, {"k1"}), _t("x3", 2, {"k1"})),
-        ("shapley", "set_inclusion"): SetInclusionInstance(
-            TxSet([_t("f1", 1, {"k1"})]),
-            TxSet([_t("x2", 1, {"k2"}), _t("x3", 1, {"k2"})]),
-            TxSet([_t("x2", 1, {"k2"}), _t("x3", 1, {"k2"}),
-                   _t("x4", 1, {"k1"})])),
-        ("banzhaf", "set_inclusion"): SetInclusionInstance(
-            TxSet(),
-            TxSet([_t("x1", 1, {"k1"}), _t("x2", 1, {"k1"})]),
-            TxSet([_t("x1", 1, {"k1"}), _t("x2", 1, {"k1"}),
-                   _t("x3", 1, {"k2"})])),
-        ("xsm", "set_inclusion"): SetInclusionInstance(
-            TxSet(),
-            TxSet([_t("x1", 1, {"k1"})]),
-            TxSet([_t("x1", 1, {"k1"}), _t("x2", 1, {"k2"})])),
-        ("current", "efficiency"): EfficiencyInstance(
-            TxSet([_t("f1", 1, {"k1"}), _t("f2", 1, {"k2"})])),
-        ("weighted_area", "efficiency"): EfficiencyInstance(
-            TxSet([_t("f1", 1, {"k1"})])),
-        ("banzhaf", "efficiency"): EfficiencyInstance(
-            TxSet([_t("f1", 1, {"k1"}), _t("f2", 1, {"k1"}),
-                   _t("f3", 1, {"k2"})])),
-        ("xsm", "efficiency"): EfficiencyInstance(
-            TxSet([_t("f1", 1, {"k1"})])),
-    }
-    for mech in ("shapley", "banzhaf", "tpm", "esm", "xsm"):
-        table[(mech, "easy_gas_estimation")] = estimation
-    return table
+    return {cell: build() for cell, build in _KNOWN.items()}
 
 
-# ---------------------------------------------------------------------------
-# Counterexample fixtures with the published exact numbers
+# Each fixture replays the known violations of its cells and compares the
+# check's details with the published values: (detail, label, value).  F2
+# also publishes the Banzhaf price of each transaction of its block, named
+# by id; no check reports those, so they are priced directly.
+_FIXTURES = {
+    "F1": {("shapley", "scheduling_monotonicity"): (
+               ("v1", "v with tx3", 3), ("v2", "v with tx4", 4),
+               ("gas1", "shapley tx3", 1), ("gas2", "shapley tx4", "5/6")),
+           ("banzhaf", "scheduling_monotonicity"): (
+               ("gas1", "banzhaf tx3", 1), ("gas2", "banzhaf tx4", "3/4")),
+           ("tpm", "scheduling_monotonicity"): (
+               ("gas1", "tpm tx3", 1), ("gas2", "tpm tx4", "4/5"))},
+    "F2": {("banzhaf", "efficiency"): (
+               ("f1", "banzhaf f1", "3/4"), ("f2", "banzhaf f2", "3/4"),
+               ("f3", "banzhaf f3", "1/4"),
+               ("total", "banzhaf total", "7/4"), ("value", "v", 2))},
+    "F3": {("shapley", "bundling"): (("split", "shapley split", "10/6"),
+                                     ("bundled", "shapley bundled", "3/2"))},
+    "F4": {("esm", "bundling"): (("split", "esm split", 2),
+                                 ("bundled", "esm bundled", "3/2"))},
+    "F5": {("shapley", "set_inclusion"): (
+               ("gas1", "shapley subset total", "10/6"),
+               ("gas2", "shapley superset total", "36/24"))},
+    "F6": {("banzhaf", "set_inclusion"): (
+               ("gas1", "banzhaf subset total", 2),
+               ("gas2", "banzhaf superset total", "7/4"))},
+    "F7": {("xsm", "set_inclusion"): (("gas1", "xsm subset total", "1/3"),
+                                      ("gas2", "xsm superset total", "2/9"))},
+    "F8": {("current", "efficiency"): (("total", "current total", 2),
+                                       ("value", "v", 1))},
+}
 
 
 @dataclass(frozen=True)
@@ -450,152 +495,41 @@ class FixtureResult:
         return self.computed == self.expected
 
 
-def _fr(f, label, computed, expected) -> FixtureResult:
-    return FixtureResult(f, label, Fraction(computed), Fraction(expected))
-
-
-def _fixture_f1(env: PricingEnv) -> list[FixtureResult]:
-    # Scheduling-monotonicity violation for Shapley, Banzhaf and TPM.
-    base = TxSet([_t("f1", 1, {"k1"}), _t("f2", 3, {"k2"})])
-    tx3, tx4 = _t("x1", 2, {"k1"}), _t("x2", 1, {"k2"})
-    b3, b4 = base.with_txs(tx3), base.with_txs(tx4)
-    return [
-        _fr("F1", "v with tx3", env.value(b3), 3),
-        _fr("F1", "v with tx4", env.value(b4), 4),
-        _fr("F1", "shapley tx3", env.gas(b3, tx3, "shapley"), 1),
-        _fr("F1", "shapley tx4", env.gas(b4, tx4, "shapley"), Fraction(5, 6)),
-        _fr("F1", "banzhaf tx3", env.gas(b3, tx3, "banzhaf"), 1),
-        _fr("F1", "banzhaf tx4", env.gas(b4, tx4, "banzhaf"), Fraction(3, 4)),
-        _fr("F1", "tpm tx3", env.gas(b3, tx3, "tpm"), 1),
-        _fr("F1", "tpm tx4", env.gas(b4, tx4, "tpm"), Fraction(4, 5)),
-    ]
-
-
-def _fixture_f2(env: PricingEnv) -> list[FixtureResult]:
-    # Banzhaf inefficiency: per-tx 3/4, 3/4, 1/4; total 7/4 while v = 2.
-    block = TxSet([_t("f1", 1, {"k1"}), _t("f2", 1, {"k1"}),
-                   _t("f3", 1, {"k2"})])
-    return [
-        _fr("F2", "banzhaf f1", env.gas(block, block.get("f1"), "banzhaf"),
-            Fraction(3, 4)),
-        _fr("F2", "banzhaf f2", env.gas(block, block.get("f2"), "banzhaf"),
-            Fraction(3, 4)),
-        _fr("F2", "banzhaf f3", env.gas(block, block.get("f3"), "banzhaf"),
-            Fraction(1, 4)),
-        _fr("F2", "banzhaf total", env.block_gas(block, block, "banzhaf"),
-            Fraction(7, 4)),
-        _fr("F2", "v", env.value(block), 2),
-    ]
-
-
-def _fixture_f3(env: PricingEnv) -> list[FixtureResult]:
-    # Shapley bundling violation: split 10/6 > 3/2 bundled.
-    base = TxSet([_t("f4", 1, {"k1"})])
-    tx1, tx2, tx3 = _t("x1", 1, {"k2"}), _t("x2", 1, {"k2"}), _t("x3", 2, {"k2"})
-    split_block = base.with_txs(tx1, tx2)
-    split = (env.gas(split_block, tx1, "shapley")
-             + env.gas(split_block, tx2, "shapley"))
-    bundled = env.gas(base.with_txs(tx3), tx3, "shapley")
-    return [_fr("F3", "shapley split", split, Fraction(10, 6)),
-            _fr("F3", "shapley bundled", bundled, Fraction(3, 2))]
-
-
-def _fixture_f4(env: PricingEnv) -> list[FixtureResult]:
-    # ESM bundling violation: split 1 + 1 = 2 > 3/2 bundled.
-    base = TxSet([_t("f4", 1, {"k1"})])
-    tx1, tx2, tx3 = _t("x1", 1, {"k1"}), _t("x2", 1, {"k1"}), _t("x3", 2, {"k1"})
-    split_block = base.with_txs(tx1, tx2)
-    split = (env.gas(split_block, tx1, "esm")
-             + env.gas(split_block, tx2, "esm"))
-    bundled = env.gas(base.with_txs(tx3), tx3, "esm")
-    return [_fr("F4", "esm split", split, 2),
-            _fr("F4", "esm bundled", bundled, Fraction(3, 2))]
-
-
-def _fixture_f5(env: PricingEnv) -> list[FixtureResult]:
-    # Shapley set-inclusion violation: 5/6 + 5/6 = 10/6 > 36/24.
-    base = TxSet([_t("f1", 1, {"k1"})])
-    sub = TxSet([_t("x2", 1, {"k2"}), _t("x3", 1, {"k2"})])
-    sup = sub.with_txs(_t("x4", 1, {"k1"}))
-    return [
-        _fr("F5", "shapley subset total",
-            env.block_gas(base.union(sub), sub, "shapley"), Fraction(10, 6)),
-        _fr("F5", "shapley superset total",
-            env.block_gas(base.union(sup), sup, "shapley"), Fraction(36, 24)),
-    ]
-
-
-def _fixture_f6(env: PricingEnv) -> list[FixtureResult]:
-    # Banzhaf set-inclusion violation: 2 > 7/4.
-    sub = TxSet([_t("x1", 1, {"k1"}), _t("x2", 1, {"k1"})])
-    sup = sub.with_txs(_t("x3", 1, {"k2"}))
-    return [
-        _fr("F6", "banzhaf subset total",
-            env.block_gas(sub, sub, "banzhaf"), 2),
-        _fr("F6", "banzhaf superset total",
-            env.block_gas(sup, sup, "banzhaf"), Fraction(7, 4)),
-    ]
-
-
-def _fixture_f7(env: PricingEnv) -> list[FixtureResult]:
-    # XSM set-inclusion violation: 1/3 > 2/9.
-    sub = TxSet([_t("x1", 1, {"k1"})])
-    sup = sub.with_txs(_t("x2", 1, {"k2"}))
-    return [
-        _fr("F7", "xsm subset total",
-            env.block_gas(sub, sub, "xsm"), Fraction(1, 3)),
-        _fr("F7", "xsm superset total",
-            env.block_gas(sup, sup, "xsm"), Fraction(2, 9)),
-    ]
-
-
-def _fixture_f8(env: PricingEnv) -> list[FixtureResult]:
-    # Current GCM inefficiency: total 2 while v = 1.
-    block = TxSet([_t("f1", 1, {"k1"}), _t("f2", 1, {"k2"})])
-    return [
-        _fr("F8", "current total", env.block_gas(block, block, "current"), 2),
-        _fr("F8", "v", env.value(block), 1),
-    ]
-
-
-_FIXTURES = {
-    "F1": (_fixture_f1, ("shapley", "banzhaf", "tpm")),
-    "F2": (_fixture_f2, ("banzhaf",)),
-    "F3": (_fixture_f3, ("shapley",)),
-    "F4": (_fixture_f4, ("esm",)),
-    "F5": (_fixture_f5, ("shapley",)),
-    "F6": (_fixture_f6, ("banzhaf",)),
-    "F7": (_fixture_f7, ("xsm",)),
-    "F8": (_fixture_f8, ("current",)),
-}
+def _replay(name: str, cells: dict, env: PricingEnv) -> list[FixtureResult]:
+    """Fixture ``name`` at the env's thread count."""
+    results = []
+    for (mech, prop), published in cells.items():
+        inst = _KNOWN[(mech, prop)]()
+        details = check_property(prop, mech, inst, env).details
+        for detail, label, value in published:
+            if detail in details:
+                got = Fraction(details[detail])
+            elif isinstance(inst, EfficiencyInstance) and detail in inst.base:
+                got = env.gas(inst.base, inst.base.get(detail), mech)
+            else:
+                raise FixtureMismatch(
+                    f"{name} {label}: {prop} of {mech} reports no {detail} "
+                    f"(at {env.scheduler_cfg.threads} threads)")
+            results.append(FixtureResult(name, label, got, Fraction(value)))
+    return results
 
 
 def run_fixture_suite(mech: str | None = None) -> list[FixtureResult]:
-    """Replay the hard-coded counterexamples, at each thread count, and
-    check the published exact rationals.  Raises FixtureMismatch on any
-    deviation."""
-    results: list[FixtureResult] = []
-    per_thread: dict[str, list[FixtureResult]] = {}
-    for n in FIXTURE_THREADS:
-        env = PricingEnv(scheduler_cfg=SchedulerConfig(threads=n))
-        for name, (fn, mechs) in sorted(_FIXTURES.items()):
-            if mech is not None and mech not in mechs:
-                continue
-            got = fn(env)
-            prev = per_thread.get(name)
-            if prev is not None and [(r.label, r.computed) for r in prev] != \
-                    [(r.label, r.computed) for r in got]:
-                raise FixtureMismatch(
-                    f"{name}: outcome differs between thread counts")
-            per_thread[name] = got
-            if n == FIXTURE_THREADS[0]:
-                results.extend(got)
-    bad = [r for r in results if not r.ok]
-    if bad:
-        lines = ", ".join(f"{r.fixture} {r.label}: computed "
-                          f"{format_rational(r.computed)} != expected "
-                          f"{format_rational(r.expected)}" for r in bad)
-        raise FixtureMismatch(lines)
+    """Replay every fixture that names ``mech`` (all when None) at each
+    thread count, and check the published exact rationals.  Raises
+    FixtureMismatch on any deviation."""
+    chosen = {name: cells for name, cells in _FIXTURES.items()
+              if mech is None or any(m == mech for m, _ in cells)}
+    for threads in FIXTURE_THREADS:
+        env = PricingEnv(scheduler_cfg=SchedulerConfig(threads=threads))
+        results = [r for name, cells in chosen.items()
+                   for r in _replay(name, cells, env)]
+        bad = ", ".join(f"{r.fixture} {r.label}: computed "
+                        f"{format_rational(r.computed)} != expected "
+                        f"{format_rational(r.expected)}"
+                        for r in results if not r.ok)
+        if bad:
+            raise FixtureMismatch(f"{bad} (at {threads} threads)")
     return results
 
 
@@ -639,8 +573,10 @@ def evaluate_cell(prop: str, mech: str, cfg: SamplerConfig, budget: int,
     any, then on up to ``budget`` sampled instances.  The first violation
     ends the search and is the cell's witness; with ``known={}`` this is a
     plain randomized counterexample search."""
-    known = known if known is not None else known_violations()
-    seeded = known.get((mech, prop))
+    if known is None:
+        seeded = _KNOWN.get((mech, prop), lambda: None)()
+    else:
+        seeded = known.get((mech, prop))
     if seeded is not None:
         threads = cfg.threads[0]
         outcome = check_property(prop, mech, seeded, envs[threads])
@@ -694,13 +630,12 @@ def property_matrix(mechs: Iterable[str] = TABLE_MECHANISMS,
                     props: Iterable[str] = PROPERTIES) -> MatrixReport:
     cfg = cfg or SamplerConfig()
     envs = env_pool(cfg)
-    known = known_violations()
     expected = load_expected_matrix()["rows"]
     cells: dict[tuple[str, str], MatrixCell] = {}
     mismatches = []
     for mech in mechs:
         for prop in props:
-            cell = evaluate_cell(prop, mech, cfg, budget, envs, known)
+            cell = evaluate_cell(prop, mech, cfg, budget, envs)
             cells[(mech, prop)] = cell
             want = expected.get(mech, {}).get(prop)
             if want is not None and cell.symbol != want:

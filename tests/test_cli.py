@@ -265,6 +265,22 @@ def one_error_line(err):
         and "Traceback" not in err
 
 
+@pytest.mark.parametrize("keys", [[1], [None], [[2]]],
+                         ids=["int", "null", "list"])
+def test_non_string_key_in_a_block_file_is_usage_error(tmp_path, capsys,
+                                                       keys):
+    path = tmp_path / "block.json"
+    path.write_text(json.dumps({"transactions": [
+        {"id": "a", "time": 1, "keys": keys},
+        {"id": "b", "time": 1, "keys": ["1"]}]}))
+    for argv in (["gas", str(path)], ["schedule", str(path)]):
+        code, out = run(capsys, argv)
+        assert code == 2, argv
+        assert one_error_line(out.err), argv
+        assert "keys must be strings" in out.err
+        assert out.out == ""
+
+
 def test_check_budget_below_one_is_usage_error(capsys):
     for budget in ("0", "-5"):
         code, out = run(capsys, ["check", "--mech", "current", "--prop",

@@ -125,6 +125,23 @@ def test_parse_block_rejects_malformed(doc):
         parse_block(doc)
 
 
+@pytest.mark.parametrize("entry", [
+    {"id": "a", "time": 1, "keys": [1]},
+    {"id": "a", "time": 1, "keys": ["k1", None]},
+    {"id": "a", "time": 1, "keys": [[2]]},
+    {"id": "a", "time": 1, "keys": [True]},
+    {"id": 5, "time": 1, "keys": ["k1"]},
+    {"id": None, "time": 1, "keys": ["k1"]},
+], ids=["int-key", "null-key", "list-key", "bool-key", "int-id", "null-id"])
+def test_non_string_ids_and_keys_are_refused_not_coerced(entry):
+    # Coerced, [1] and ["1"] would name one key, null would be "None".
+    doc = {"transactions": [entry, {"id": "b", "time": 1, "keys": ["1"]}]}
+    with pytest.raises(MalformedDocument, match="string"):
+        parse_block(json.dumps(doc))
+    with pytest.raises(MalformedDocument, match="string"):
+        make_transaction(entry["id"], entry["time"], entry["keys"])
+
+
 @pytest.mark.parametrize("doc", [
     '{"transactions": [], "transactions": []}',
     '{"transactions": [{"id": "a", "time": 1, "time": 2, "keys": ["k1"]}]}',

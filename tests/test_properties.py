@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import pytest
 
-from paragas import (PROPERTIES, BlockError, MalformedDocument, PricingEnv,
-                     SamplerConfig, SchedulerConfig, TxSet, check_property,
-                     env_pool, evaluate_cell, known_violations,
+from paragas import (PROPERTIES, BlockError, FixtureMismatch,
+                     MalformedDocument, PricingEnv, SamplerConfig,
+                     SchedulerConfig, TxSet, check_property, env_pool,
+                     evaluate_cell, gcm, known_violations,
                      load_expected_matrix, make_transaction, property_matrix,
                      run_fixture_suite)
+from paragas.cli import main
 from paragas.core import NonPositiveTime
 from paragas.properties import (HOLDS_EQUAL, HOLDS_STRICT, NOT_APPLICABLE,
                                 VIOLATED, BundlingInstance, EfficiencyInstance,
@@ -38,6 +42,66 @@ def test_fixture_suite_filters_by_mechanism():
     assert banzhaf == {"F1", "F2", "F6"}
     xsm = {r.fixture for r in run_fixture_suite("xsm")}
     assert xsm == {"F7"}
+
+
+# Every fixture value, in order, with its published exact rational.
+PINNED_FIXTURES = [
+    ("F1", "v with tx3", "3"), ("F1", "v with tx4", "4"),
+    ("F1", "shapley tx3", "1"), ("F1", "shapley tx4", "5/6"),
+    ("F1", "banzhaf tx3", "1"), ("F1", "banzhaf tx4", "3/4"),
+    ("F1", "tpm tx3", "1"), ("F1", "tpm tx4", "4/5"),
+    ("F2", "banzhaf f1", "3/4"), ("F2", "banzhaf f2", "3/4"),
+    ("F2", "banzhaf f3", "1/4"), ("F2", "banzhaf total", "7/4"),
+    ("F2", "v", "2"),
+    ("F3", "shapley split", "5/3"), ("F3", "shapley bundled", "3/2"),
+    ("F4", "esm split", "2"), ("F4", "esm bundled", "3/2"),
+    ("F5", "shapley subset total", "5/3"),
+    ("F5", "shapley superset total", "3/2"),
+    ("F6", "banzhaf subset total", "2"),
+    ("F6", "banzhaf superset total", "7/4"),
+    ("F7", "xsm subset total", "1/3"), ("F7", "xsm superset total", "2/9"),
+    ("F8", "current total", "2"), ("F8", "v", "1"),
+]
+
+
+def test_fixture_suite_is_pinned():
+    got = [(r.fixture, r.label, str(r.computed), str(r.expected))
+           for r in run_fixture_suite()]
+    assert got == [(f, label, v, v) for f, label, v in PINNED_FIXTURES]
+    # A mechanism replays every fixture it appears in, whole; `check`
+    # counts these as its fixture_checks (41 for all seven mechanisms).
+    counts = {mech: len(run_fixture_suite(mech))
+              for mech in ("current", "weighted_area", "shapley", "banzhaf",
+                           "tpm", "esm", "xsm")}
+    assert counts == {"current": 2, "weighted_area": 0, "shapley": 12,
+                      "banzhaf": 15, "tpm": 8, "esm": 2, "xsm": 2}
+    assert sum(counts.values()) == 41
+
+
+@pytest.mark.parametrize("wrong_at", [(2, 3), (3,)], ids=["both", "3"])
+def test_a_wrong_fixture_value_fails_the_suite_and_check(monkeypatch, capsys,
+                                                          wrong_at):
+    # ESM charges one unit too much at the thread counts in wrong_at.
+    esm = gcm._GAS["esm"]
+    monkeypatch.setitem(gcm._GAS, "esm", lambda block, tx, env: esm(
+        block, tx, env) + (1 if env.scheduler_cfg.threads in wrong_at else 0))
+    with pytest.raises(FixtureMismatch, match="F4 esm split"):
+        run_fixture_suite("esm")
+    code = main(["check", "--mech", "esm", "--prop", "bundling",
+                 "--budget", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert any(line.startswith("  FAIL: fixture mismatch (esm): F4 esm split")
+               for line in lines), lines
+    assert lines[-1] == "FAILED"
+
+
+def test_a_detail_the_check_no_longer_reports_is_a_mismatch(monkeypatch):
+    # With every makespan equal, F1's scheduling premise v1 < v2 fails, so
+    # its check reports v1 and v2 but no gas.
+    monkeypatch.setattr(PricingEnv, "value", lambda self, block: Fraction(3))
+    with pytest.raises(FixtureMismatch, match="F1 shapley tx3"):
+        run_fixture_suite("tpm")
 
 
 def test_scheduling_monotonicity_violation_shapley():
@@ -181,6 +245,14 @@ def test_malformed_witness_is_a_typed_error():
             "block1": [], "block2": [], "tx": {**good, "time": "-1/2"}})
     with pytest.raises(MalformedDocument):
         instance_from_dict("bundling", {"base": []})
+
+
+def test_witness_with_a_number_for_an_id_or_key_is_refused():
+    good = {"id": "a", "time": 1, "keys": ["k1"]}
+    for bad in ({**good, "id": 5}, {**good, "keys": [1]},
+                {**good, "keys": [None]}):
+        with pytest.raises(MalformedDocument, match="string"):
+            instance_from_dict("efficiency", {"base": [bad]})
 
 
 def test_search_counterexample_finds_and_misses():
