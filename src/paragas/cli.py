@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 from .core import (BlockError, WeightTable, format_approx, format_rational,
                    load_json, parse_block, to_rational)
@@ -356,10 +357,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and reused by every
+    later call in the process.  Parsing leaves it as it was, and argparse
+    reads the terminal width and the output streams when it prints, so a
+    reused parser prints what a fresh one would."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

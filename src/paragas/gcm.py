@@ -9,11 +9,30 @@ Shapley and Banzhaf read the block's 2^|T| subset-value table.  That table,
 and the prices derived from it, are kept with the block's compiled form, one
 per thread count, so a block is filled once however many mechanisms or envs
 price it, and both are freed with the block.
+
+Coalition sums.  With v the table's scaled values and w_s = s!(n - s - 1)!
+(w_n = 0), the Shapley price of i is A_i - B over n! scale, where
+  A_i = sum over U with i of (w_(|U|-1) + w_|U|) v(U),
+  B   = sum over U of w_|U| v(U),
+since it is the sum over S without i of w_|S| (v(S + i) - v(S)), each set
+U with i is S + i for exactly one S without i, and the sets without i are
+all sets less those with i.  The Shapley prices sum to v(T) (v of the
+empty set is 0), so n B = sum over i of A_i - n! v(T).  In the same way the
+raw Banzhaf price of i is 2 sum over U with i of v(U) - sum over U of v(U),
+over 2^(n-1) scale.  ``_block_prices`` takes the sums over the U with i
+from the finished table, for every i at once, by halving folds: the upper
+half of a list indexed by mask holds the sets with its top bit, and adding
+it to the lower half leaves a list of half the length whose upper half
+holds the next bit.  The folds run on ``FOLD_MASKS`` masks at a time, so
+their temporary lists do not grow with the table, and add with
+``map(operator.add, ...)``, so the additions run in C; a bit above the
+chunk gets the sum of every chunk whose masks hold it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import add, mul
 from typing import NamedTuple
 
 from .core import Transaction, TxSet, WeightTable
@@ -36,25 +55,61 @@ class BlockPrices(NamedTuple):
     banzhaf_total: Fraction
 
 
+FOLD_MASKS = 1 << 12  # masks a fold takes at a time
+
+
+def _fold_into(sums: list, fold: list, base: int, low: int) -> int:
+    """Add to ``sums[bit]`` the values of ``fold`` whose masks hold that
+    bit, where ``fold`` holds the values of the 2^low masks from ``base``
+    on, and return their total."""
+    for bit in reversed(range(low)):
+        half = len(fold) >> 1
+        upper = fold[half:]
+        sums[bit] += sum(upper)
+        fold = list(map(add, fold[:half], upper))
+    total = fold[0]
+    for bit in range(low, len(sums)):
+        if base >> bit & 1:
+            sums[bit] += total
+    return total
+
+
+def _price_numerators(scaled: list, n: int) -> tuple[list, list]:
+    """Per transaction, the integer Shapley numerator over n! scale and
+    the raw Banzhaf one over 2^(n-1) scale, from the scaled values of an
+    n-transaction table; see the module docstring."""
+    w = [factorial(s) * factorial(n - s - 1) for s in range(n)] + [0]
+    coeff = [0] + [w[s - 1] + w[s] for s in range(1, n + 1)]  # of A, by |U|
+    a, with_v = [0] * n, [0] * n  # A_i, and the sum of v(U) over U with i
+    all_v = 0
+    span = min(1 << n, FOLD_MASKS)
+    low = span.bit_length() - 1  # the bits a chunk's masks vary in
+    for base in range(0, 1 << n, span):
+        chunk = scaled[base:base + span]
+        all_v += _fold_into(with_v, chunk, base, low)
+        sizes = map(int.bit_count, range(base, base + span))
+        _fold_into(a, list(map(mul, map(coeff.__getitem__, sizes), chunk)),
+                   base, low)
+    b = (sum(a) - factorial(n) * scaled[-1]) // n if n else 0
+    return [m - b for m in a], [2 * m - all_v for m in with_v]
+
+
 def _block_prices(vtable: SubsetValueTable) -> BlockPrices:
-    """Prices of the whole block from the integer marginal sums by
-    coalition size that ``subset_value_table`` records while it fills the
-    table, cached on the table.  Shapley weights size s by
-    s!(n - s - 1)!/n!, Banzhaf weights every coalition by 1/2^(n-1); both
-    divide by the table's scale once at the end."""
+    """Shapley and raw Banzhaf prices of the whole block, cached on the
+    table: the numerators of ``_price_numerators`` over n! and 2^(n-1)
+    times the table's scale."""
     if vtable.prices is not None:
         return vtable.prices
-    sums, n = vtable.marginal_sums, len(vtable.ids)
-    weights = [factorial(s) * factorial(n - s - 1) for s in range(n)]
+    n = len(vtable.ids)
+    shapley_nums, banzhaf_nums = _price_numerators(vtable.scaled, n)
     shapley_den = factorial(n) * vtable.scale
     banzhaf_den = (1 << max(n - 1, 0)) * vtable.scale
-    shapley, banzhaf = {}, {}
-    for tx_id, by_size in zip(vtable.ids, sums):
-        shapley[tx_id] = Fraction(
-            sum(w * m for w, m in zip(weights, by_size)), shapley_den)
-        banzhaf[tx_id] = Fraction(sum(by_size), banzhaf_den)
     vtable.prices = BlockPrices(
-        shapley, banzhaf, Fraction(sum(map(sum, sums)), banzhaf_den))
+        {tx_id: Fraction(m, shapley_den)
+         for tx_id, m in zip(vtable.ids, shapley_nums)},
+        {tx_id: Fraction(m, banzhaf_den)
+         for tx_id, m in zip(vtable.ids, banzhaf_nums)},
+        Fraction(sum(banzhaf_nums), banzhaf_den))
     return vtable.prices
 
 

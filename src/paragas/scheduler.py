@@ -24,28 +24,24 @@ time, heaviest key, ceil(work / n)),
   ub = min_i v(S - i) + t_i
 bracket v(S): removing a transaction from a valid schedule leaves it valid
 (so v(S - i) <= v(S)), and appending i after an optimal schedule of S - i,
-when nothing else runs, is valid (so v(S) <= v(S - i) + t_i).  When lb >= ub
-the value is ub without any search.  Otherwise the greedy schedule of S may
-lower ub (it is valid, so its makespan is at least v(S)), and if lb < ub
-still, the search starts from ub as its incumbent and stops as soon as the
-incumbent reaches lb, since no schedule can beat a lower bound.  The search
-also prunes a node at clock c with transactions R not yet started when
-c + v(R) reaches the incumbent: R is a proper subset of S, so v(R) is
-already in the table, and R's transactions all start at c or later.
+when nothing else runs, is valid (so v(S) <= v(S - i) + t_i).  The fill
+scans the i in S and stops as soon as the max and the min over the i seen
+so far meet: the partial lb and ub bound v(S) as the full ones do, so
+v(S) >= lb >= ub >= v(S) and v(S) = ub, with no search.  A scan that ends
+with lb < ub has read every i, so the rules below see the same bounds as a
+full scan.  Otherwise the greedy schedule of S may lower ub (it is valid,
+so its makespan is at least v(S)), and if lb < ub still, the search starts
+from ub as its incumbent and stops as soon as the incumbent reaches lb,
+since no schedule can beat a lower bound.  The search also prunes a node
+at clock c with transactions R not yet started when c + v(R) reaches the
+incumbent: R is a proper subset of S, so v(R) is already in the table, and
+R's transactions all start at c or later.
 
 Components.  With unbounded threads, a subset S that splits into parts C
 and S - C sharing no key runs each part on its own, so
 v(S) = max(v(C), v(S - C)), both already in the table.  C is grown from
 the lowest transaction of S along shared keys; the rule is tried before
 any other bound.
-
-Coalition sums.  While the fill reads v(S - i) for each i in S it adds it
-to out(|S| - 1, i), the sum of v(U) over the sets U of that size without
-i, and then adds v(S) to by_size(|S|).  The sum of the marginals
-v(S + i) - v(S) over the coalitions S of size s without i is then
-  by_size(s + 1) - out(s + 1, i) - out(s, i)   (out(n, i) = 0),
-since the sets of size s + 1 with i are all sets of that size less those
-without i.  The gcm module prices a block from these sums.
 
 Whole blocks.  Each block is compiled once: ``compiled`` keeps its integer
 form, with the greedy list order, in the TxSet, and every entry point below
@@ -417,7 +413,7 @@ def _optimal(sc: _Scaled, cfg: SchedulerConfig) -> tuple[int, dict]:
         best, found = _search(sc, threads, items, incumbent, floor,
                               budget=max(1 << n, 256))
     except _OverBudget:
-        v = _fill(sc, threads)[0]
+        v = _fill(sc, threads)
         best, found = v[-1], None
         if best < incumbent:
             found = _search(sc, threads, items, incumbent, best, v)[1]
@@ -483,19 +479,15 @@ class SubsetValueTable:
     ``ids`` lists the block's transaction ids in id order; ``scaled`` is a
     list indexed by bit mask that holds scale * v(S), where bit i stands
     for ``ids[i]``.  ``values`` reads the same numbers keyed by frozensets
-    of ids.  ``marginal_sums[i][s]``, recorded by ``subset_value_table``,
-    is the sum of the scaled marginals v(S + i) - v(S) over the coalitions
-    S of size s without i; the gcm module prices a block from these sums
-    and caches the prices in ``prices``.  The table holds ids, not the
-    TxSet, so the compiled form that keeps it forms no cycle with the set.
+    of ids.  The gcm module prices a block from ``scaled`` and caches the
+    prices in ``prices``.  The table holds ids, not the TxSet, so the
+    compiled form that keeps it forms no cycle with the set.
     """
 
-    def __init__(self, ids: tuple, scale: int, scaled: list,
-                 marginal_sums: list):
+    def __init__(self, ids: tuple, scale: int, scaled: list):
         self.ids = ids
         self.scale = scale
         self.scaled = scaled
-        self.marginal_sums = marginal_sums
         self.prices = None
         self._bit = {tx_id: 1 << i for i, tx_id in enumerate(ids)}
 
@@ -520,16 +512,16 @@ def subset_value_table(txs: TxSet, cfg: SchedulerConfig) -> SubsetValueTable:
     the module docstring."""
     _check_cap(len(txs), cfg)
     sc = compiled(txs)
-    v, sums = _fill(sc, cfg.threads)
+    v = _fill(sc, cfg.threads)
     sc.known[cfg.threads] = Fraction(v[-1], sc.scale)
     table = sc.tables[cfg.threads] = SubsetValueTable(
-        tuple(tx.tx_id for tx in txs), sc.scale, v, sums)
+        tuple(tx.tx_id for tx in txs), sc.scale, v)
     return table
 
 
-def _fill(sc: _Scaled, threads: int | None) -> tuple[list, list]:
-    """Scaled v(S) for every mask S, in mask order, and the marginal sums
-    of ``SubsetValueTable`` recorded on the way; see the module docstring."""
+def _fill(sc: _Scaled, threads: int | None) -> list:
+    """Scaled v(S) for every mask S, in mask order; see the module
+    docstring."""
     times, masks, n = sc.times, sc.masks, len(sc.times)
     total, order = sum(times), sc.order
     lower_bound = sc.bound(threads)
@@ -537,19 +529,13 @@ def _fill(sc: _Scaled, threads: int | None) -> tuple[list, list]:
     neighbours = [sum(1 << j for j in range(n)
                       if j != i and masks[i] & masks[j]) for i in range(n)]
     v = [0] * (1 << n)
-    # outside[s][i]: the sum of v(U) over the sets U of size s without i.
-    outside = [[0] * n for _ in range(n + 1)]
-    by_size = [0] * (n + 1)  # by_size[s]: the sum of v(S) over |S| = s
     for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        out = outside[size - 1]
         lb, ub, rest = 0, total, mask
-        while rest:
+        while rest and lb < ub:
             bit = rest & -rest
             rest ^= bit
             i = bit.bit_length() - 1
             without = v[mask ^ bit]
-            out[i] += without
             if without > lb:
                 lb = without
             top = without + times[i]
@@ -567,10 +553,7 @@ def _fill(sc: _Scaled, threads: int | None) -> tuple[list, list]:
             if lb < ub:
                 ub = _search(sc, threads, sorted(items), ub, lb, v)[0]
         v[mask] = ub
-        by_size[size] += ub
-    sums = [[by_size[s + 1] - outside[s + 1][i] - outside[s][i]
-             for s in range(n)] for i in range(n)]
-    return v, sums
+    return v
 
 
 def _component(mask: int, neighbours: list) -> int:

@@ -59,6 +59,43 @@ def test_gas_current_totals(four_tx_block, capsys):
     assert doc["config"]["threads"] == 2
 
 
+def test_a_reused_parser_answers_as_a_fresh_one(four_tx_block, capsys,
+                                                 monkeypatch):
+    # main builds its parser on its first call and reuses it.  Each command
+    # below, run on that one parser after the commands before it, prints
+    # and exits exactly as on a parser built for it alone, and the help
+    # wraps at the terminal width of its own call.
+    builds = []
+    build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    steps = (("80", ["gas", four_tx_block, "--mech", "shapley"]),
+             ("80", ["gas", four_tx_block, "--threads", "1"]),
+             ("80", ["schedule", four_tx_block, "--format", "text"]),
+             ("60", ["--help"]),
+             ("100", ["--help"]))
+    cli._parser.cache_clear()
+    reused = []
+    for columns, argv in steps:
+        monkeypatch.setenv("COLUMNS", columns)
+        reused.append(run(capsys, argv))
+    assert len(builds) == 1
+    assert [code for code, _ in reused] == [0, 2, 0, 0, 0]
+    assert "--threads: must be an integer >= 2" in reused[1][1].err
+    for (columns, argv), got in zip(steps, reused):
+        cli._parser.cache_clear()
+        monkeypatch.setenv("COLUMNS", columns)
+        assert run(capsys, argv) == got, argv
+    assert len(builds) == 1 + len(steps)
+    narrow, wide = (max(map(len, out.out.splitlines()))
+                    for _code, out in reused[3:])
+    assert narrow <= 60 - 2 < 60 < wide <= 100 - 2
+
+
 def test_gas_esm_three_threads(four_tx_block, capsys):
     code, out = run(capsys, ["gas", four_tx_block, "--mech", "esm",
                              "--threads", "3"])

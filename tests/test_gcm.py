@@ -1,16 +1,19 @@
 import gc
+import tracemalloc
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from paragas import (PricingEnv, SchedulerConfig, TxSet, WeightTable,
                      make_transaction, scheduler, subset_value_table)
 from paragas.core import Transaction
-from paragas.gcm import MECHANISMS, TxNotInSet
-from paragas.scheduler import InstanceTooLarge
+from paragas.gcm import MECHANISMS, TxNotInSet, _block_prices
+from paragas.scheduler import InstanceTooLarge, SubsetValueTable
 from paragas.sampling import SamplerConfig, rng_for, sample_txset
 
-from exhaustive import banzhaf, shapley_permutation, shapley_subset
+from exhaustive import (banzhaf, marginal_sums, shapley_permutation,
+                        shapley_subset)
 
 N2 = SchedulerConfig(threads=2)
 
@@ -264,3 +267,44 @@ def test_banzhaf_normalized_totals_match_value_on_random_blocks():
         block = sample_txset(rng, cfg, rng.randint(1, 4))
         assert e.block_gas(block, block, "banzhaf_normalized") == \
             e.value(block)
+
+
+def key_load_table(n):
+    """A block of n transactions, where transaction i has time i + 1 and
+    holds keys k(i mod 3) and k(3 + i mod 4), and a monotone table of it
+    built without a fill: v(S) is the heaviest load on one key."""
+    block = TxSet(make_transaction(f"t{i:02d}", i + 1,
+                                   [f"k{i % 3}", f"k{3 + i % 4}"])
+                  for i in range(n))
+    loads = [[0] * 7]
+    for mask in range(1, 1 << n):
+        i = (mask & -mask).bit_length() - 1
+        load = list(loads[mask ^ (1 << i)])
+        load[i % 3] += i + 1
+        load[3 + i % 4] += i + 1
+        loads.append(load)
+    return block, SubsetValueTable(tuple(tx.tx_id for tx in block), 1,
+                                   list(map(max, loads)))
+
+
+def test_pricing_a_16_tx_table_takes_little_memory():
+    # The sums behind the prices are folded 2^12 masks at a time, so the
+    # temporary lists stay a few hundred kB: folding the whole 2^16-mask
+    # table at once peaked at about 5.2 MB.
+    block, table = key_load_table(16)
+    tracemalloc.start()
+    try:
+        prices = _block_prices(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    weights = [factorial(s) * factorial(15 - s) for s in range(16)]
+    sums = marginal_sums(block, table.scaled)  # one sweep over every mask
+    want_shapley = [Fraction(sum(map(int.__mul__, weights, by_size)),
+                             factorial(16)) for by_size in sums]
+    want_banzhaf = [Fraction(sum(by_size), 1 << 15) for by_size in sums]
+    assert list(prices.shapley.values()) == want_shapley
+    assert list(prices.banzhaf.values()) == want_banzhaf
+    assert prices.banzhaf_total == sum(want_banzhaf)
+    assert sum(want_shapley) == table.scaled[-1]
+    assert peak < 1_000_000, peak

@@ -1,11 +1,13 @@
 """Source checks that no test of behaviour would catch."""
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "paragas")
-                 .glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "paragas").glob("*.py"))
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -16,3 +18,24 @@ def test_library_code_has_no_assert(path):
     found = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert not found, f"{path.name}: assert on lines {found}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_code_imports_only_the_stdlib_and_itself(path):
+    # The package declares no dependencies, so it may import nothing that
+    # a bare Python lacks, whatever else is installed where it is tested.
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    found = sorted({name for name in names
+                    if name.partition(".")[0] not in
+                    sys.stdlib_module_names | {"paragas"}})
+    assert not found, f"{path.name} imports {found}"
+
+
+def test_the_package_declares_no_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == []

@@ -1,16 +1,21 @@
 """Property tests of the subset-value table, the schedules and the
 efficient mechanisms on random blocks.
 
-Blocks have 2-8 transactions with times k/1, k/2 or k/3, drawn from a key
-pool of 2 (dense conflicts), 5 or 10 (sparse, so that subsets often split
-into conflict-free parts and the component rule decides them), at 2, 3 or
-unbounded threads.  The unpruned enumeration of ``exhaustive.py`` takes
-seconds on 7 transactions, so it checks blocks of at most 6.  Blocks with
-wide-range integer times (500-1000 or 21000-100000, as real gas spreads)
-over a dense or a near conflict-free key pool are checked apart: these
-are the blocks whose subsets the bounds leave open most often.
+Blocks have 2-8 transactions (0-8 for the price folds) with times k/1,
+k/2 or k/3, drawn from a key pool of 2 (dense conflicts), 5 or 10 (sparse,
+so that subsets often split into conflict-free parts and the component
+rule decides them), at 2, 3 or unbounded threads.  The unpruned
+enumeration of ``exhaustive.py`` takes seconds on 7 transactions, so it
+checks blocks of at most 6.  Blocks with wide-range integer times
+(500-1000 or 21000-100000, as real gas spreads) over a dense or a near
+conflict-free key pool are checked apart: these are the blocks whose
+subsets the bounds leave open most often.  The fills of the benchmark's
+price blocks and of ``blocks/*.json`` are pinned to their greedy runs,
+searches and search nodes.
 """
 from fractions import Fraction
+from math import factorial
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,9 +23,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paragas import (DuplicateId, PricingEnv, SchedulerConfig, TxSet,
-                     ValueOracle, greedy_schedule, make_transaction, makespan,
-                     optimal_makespan, optimal_schedule, scheduler,
+                     ValueOracle, gcm, greedy_schedule, make_transaction,
+                     makespan, optimal_makespan, optimal_schedule, scheduler,
                      subset_value_table, validate_schedule)
+from paragas.core import parse_block
+from paragas.sampling import SamplerConfig, rng_for, sample_txset
 
 from exhaustive import exhaustive_makespan, marginal_sums
 
@@ -28,11 +35,11 @@ threads_st = st.sampled_from((2, 3, None))
 
 
 @st.composite
-def blocks(draw, max_txs=8):
+def blocks(draw, max_txs=8, min_txs=2):
     pool = draw(st.sampled_from((2, 5, 10)))
     den = draw(st.sampled_from((1, 2, 3)))
     txs = []
-    for i in range(draw(st.integers(2, max_txs))):
+    for i in range(draw(st.integers(min_txs, max_txs))):
         keys = draw(st.sets(st.integers(1, pool), min_size=1, max_size=3))
         txs.append(make_transaction(f"t{i}", Fraction(draw(st.integers(1, 6)),
                                                       den),
@@ -112,10 +119,22 @@ def test_adding_a_transaction_costs_between_nothing_and_its_time(block,
 
 
 @settings(max_examples=100, deadline=None)
-@given(block=blocks(), threads=threads_st)
-def test_recorded_sums_price_like_the_sweep(block, threads):
+@given(block=blocks(min_txs=0), threads=threads_st)
+@example(block=TxSet(), threads=None)
+@example(block=TxSet([make_transaction("t0", 2, ["k1"])]), threads=None)
+@example(block=TxSet([make_transaction("t0", 2, ["k1"]),
+                      make_transaction("t1", 3, ["k1", "k2"])]), threads=None)
+def test_folded_prices_price_like_the_sweep(block, threads):
+    # The numerators folded from the finished table are the marginal sums
+    # of a sweep over every (coalition, transaction) pair, weighted by
+    # coalition size: s!(n - s - 1)! for Shapley, 1 for Banzhaf.
     table = subset_value_table(block, SchedulerConfig(threads=threads))
-    assert table.marginal_sums == marginal_sums(block, table.scaled)
+    n = len(block)
+    weights = [factorial(s) * factorial(n - s - 1) for s in range(n)]
+    sums = marginal_sums(block, table.scaled)
+    assert gcm._price_numerators(table.scaled, n) == (
+        [sum(map(int.__mul__, weights, by_size)) for by_size in sums],
+        [sum(by_size) for by_size in sums])
 
 
 @settings(max_examples=100, deadline=None)
@@ -223,3 +242,84 @@ def test_with_txs_and_subset_build_the_same_set(block, data):
             base.with_txs(*extra, again)
         with pytest.raises(DuplicateId):
             block.with_txs(again)
+
+
+# The blocks of the benchmark's price workload, as (transactions, threads,
+# key pool, time denominator, draw), drawn from sampler seed 0, and the
+# greedy runs, searches and search nodes their subset tables take, with the
+# table's v(T) (scaled).  Bounds that settle a subset earlier must leave
+# every count as it is.
+PRICE_FILLS = {
+    (9, 2, 4, 1, 5): ((34, 18, 18), 20),
+    (9, None, 10, 2, 8): ((67, 25, 122), 21),
+    (9, 3, 4, 2, 5): ((34, 18, 18), 38),
+    (10, 3, 4, 3, 5): ((71, 8, 40), 31),
+    (10, 2, 4, 2, 6): ((141, 45, 194), 26),
+    (11, None, 10, 3, 1): ((152, 0, 0), 29),
+    (11, 3, 10, 1, 2): ((653, 25, 103), 9),
+}
+BLOCK_FILLS = {
+    ("banzhaf_three_tx.json", 2): ((2, 0, 0), 2),
+    ("banzhaf_three_tx.json", 3): ((2, 0, 0), 2),
+    ("banzhaf_three_tx.json", None): ((0, 0, 0), 2),
+    ("four_tx_block.json", 2): ((5, 1, 1), 8),
+    ("four_tx_block.json", 3): ((4, 0, 0), 7),
+    ("four_tx_block.json", None): ((0, 0, 0), 7),
+}
+BLOCKS_DIR = Path(__file__).resolve().parents[1] / "blocks"
+
+
+def price_block(size, pool, den, draw):
+    cfg = SamplerConfig(seed=0, key_pool=pool, time_range=(1, 4 * den))
+    txs = sample_txset(rng_for(cfg, "price", draw), cfg, size)
+    return TxSet(make_transaction(tx.tx_id, tx.time / den, tx.keys)
+                 for tx in txs)
+
+
+def fill_work(block, threads):
+    """(greedy runs, searches, search nodes) of the block's table fill, and
+    its v(T) (scaled).  A search node is a call of the lower bound made
+    inside ``_search``."""
+    counts = [0, 0, 0]
+    searching = [False]
+    greedy, search, bound = scheduler._greedy, scheduler._search, \
+        scheduler._Scaled.bound
+
+    def counting_greedy(*args):
+        counts[0] += 1
+        return greedy(*args)
+
+    def counting_search(*args, **kwargs):
+        counts[1] += 1
+        searching[0] = True
+        try:
+            return search(*args, **kwargs)
+        finally:
+            searching[0] = False
+
+    def counting_bound(sc, threads):
+        lower_bound = bound(sc, threads)
+
+        def counted(*args):
+            counts[2] += searching[0]
+            return lower_bound(*args)
+        return counted
+
+    with mock.patch.object(scheduler, "_greedy", counting_greedy), \
+            mock.patch.object(scheduler, "_search", counting_search), \
+            mock.patch.object(scheduler._Scaled, "bound", counting_bound):
+        table = subset_value_table(block, SchedulerConfig(threads=threads))
+    return tuple(counts), table.scaled[-1]
+
+
+@pytest.mark.parametrize("shape", PRICE_FILLS, ids=str)
+def test_price_block_fills_do_pinned_work(shape):
+    size, threads, pool, den, draw = shape
+    assert fill_work(price_block(size, pool, den, draw), threads) == \
+        PRICE_FILLS[shape]
+
+
+@pytest.mark.parametrize("name, threads", BLOCK_FILLS, ids=str)
+def test_sample_block_fills_do_pinned_work(name, threads):
+    block = parse_block((BLOCKS_DIR / name).read_text(encoding="utf-8"))[0]
+    assert fill_work(block, threads) == BLOCK_FILLS[name, threads]
