@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 
 from .core import (BlockError, WeightTable, format_approx, format_rational,
-                   load_json, parse_block, to_rational)
+                   load_json, parse_block, to_rational, weights_from_json)
 from .feemarket import (BaseFeeBelowFloor, BaseFeeState, BlockResult,
                         WorkloadConfig, simulate, workload)
 from .gcm import MECHANISMS, TABLE_MECHANISMS, PricingEnv
@@ -95,12 +95,10 @@ def _load_weights(path: str | None, fallback: WeightTable) -> WeightTable:
         raise UsageError(f"cannot read weights file: {exc}")
     if not isinstance(data, dict):
         raise UsageError("weights file must be a JSON object")
-    if set(data) <= {"weights", "default_weight"}:
-        if not isinstance(data.get("weights", {}), dict):
-            raise UsageError('"weights" must be a JSON object')
-        return WeightTable(weights=data.get("weights", {}),
-                           default_weight=to_rational(
-                               data.get("default_weight", 1)))
+    # The nested form holds only these fields, as a block's weights do;
+    # any other object is a flat map of key -> weight.
+    if data.keys() <= {"weights", "default_weight"}:
+        return weights_from_json(data)
     return WeightTable(weights=data)
 
 
@@ -312,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gas = sub.add_parser("gas", help="price a block")
     p_gas.add_argument("block", help="block JSON file")
-    p_gas.add_argument("--mech", default="current", choices=MECHANISMS)
+    p_gas.add_argument("--mech", default="current", choices=MECHANISMS,
+                       metavar="MECH", help=", ".join(MECHANISMS))
     p_gas.add_argument("--threads", type=_threads, default=2,
                        metavar="N|unbounded")
     p_gas.add_argument("--weights", default=None,
@@ -341,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=cmd_check)
 
     p_sim = sub.add_parser("simulate", help="run a fee-market simulation")
-    p_sim.add_argument("--mech", default="current", choices=MECHANISMS)
+    p_sim.add_argument("--mech", default="current", choices=MECHANISMS,
+                       metavar="MECH", help=", ".join(MECHANISMS))
     p_sim.add_argument("--blocks", type=_int_at_least(1), default=100)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--workload", default=None,

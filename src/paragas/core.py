@@ -1,7 +1,12 @@
-"""Domain types: transactions, transaction sets, weights, block (de)serialization.
+"""Domain types (transactions, transaction sets, weights) and their JSON.
 
 Every quantity (execution time, weight, gas) is an exact rational.  Nothing in
 this package ever goes through floating point, so all comparisons are exact.
+
+Every JSON format of the package is read here and only here: block files,
+the transaction objects that blocks and property witnesses share, and key
+weights; ``json_object`` is the one check of an object's fields, which the
+workload and witness readers use too.
 """
 from __future__ import annotations
 
@@ -251,10 +256,6 @@ class WeightTable:
         return self.weights.get(key, self.default_weight)
 
 
-_BLOCK_FIELDS = {"transactions", "weights", "default_weight"}
-_TX_FIELDS = {"id", "time", "keys"}
-
-
 def _unique_keys(pairs: list) -> dict:
     """JSON object hook that refuses a key given twice in one object."""
     obj = {}
@@ -277,53 +278,70 @@ def load_json(document: str):
         raise MalformedDocument(f"invalid JSON: {exc}") from exc
 
 
+def json_object(doc, what: str, allowed, required=()) -> dict:
+    """``doc``, when it is a JSON object whose fields are all in
+    ``allowed`` and include every field of ``required``; otherwise
+    MalformedDocument names ``what`` and the fault."""
+    if not isinstance(doc, dict):
+        raise MalformedDocument(f"{what} must be a JSON object")
+    unknown = doc.keys() - set(allowed)
+    if unknown:
+        raise MalformedDocument(
+            f"unknown {what} fields: {sorted(unknown, key=str)}")
+    for name in required:
+        if name not in doc:
+            raise MalformedDocument(f"{what} missing field {name!r}")
+    return doc
+
+
+# The transaction object of block files and witnesses, in field order.
+_TX_FIELDS = ("id", "time", "keys")
+
+
+def tx_from_json(obj) -> Transaction:
+    """The transaction of a ``{"id", "time", "keys"}`` object."""
+    json_object(obj, "transaction", _TX_FIELDS, required=_TX_FIELDS)
+    if not isinstance(obj["keys"], list):
+        raise MalformedDocument(f"transaction {obj['id']!r}: keys must be "
+                                f"a list, got {obj['keys']!r}")
+    return make_transaction(obj["id"], obj["time"], obj["keys"])
+
+
+def tx_to_json(tx: Transaction) -> dict:
+    """Inverse of tx_from_json."""
+    return {"id": tx.tx_id, "time": format_rational(tx.time),
+            "keys": sorted(tx.keys)}
+
+
+def txs_from_json(objs) -> TxSet:
+    """The transaction set of a list of transaction objects."""
+    if not isinstance(objs, list):
+        raise MalformedDocument("transactions must be a JSON list")
+    return TxSet([tx_from_json(obj) for obj in objs])
+
+
+def weights_from_json(doc: dict) -> WeightTable:
+    """The key weights of a block or weights document: its ``weights``
+    object of key -> rational and its ``default_weight``."""
+    weights = doc.get("weights", {})
+    if not isinstance(weights, dict):
+        raise MalformedDocument('"weights" must be a JSON object')
+    return WeightTable(weights, doc.get("default_weight", 1))
+
+
+_BLOCK_FIELDS = ("transactions", "weights", "default_weight")
+
+
 def parse_block(document: str) -> tuple[TxSet, WeightTable]:
     """Parse the block JSON format; enforces all transaction invariants."""
-    data = load_json(document)
-    if not isinstance(data, dict):
-        raise MalformedDocument("block document must be a JSON object")
-    unknown = set(data) - _BLOCK_FIELDS
-    if unknown:
-        raise MalformedDocument(f"unknown block fields: {sorted(unknown)}")
-    raw_txs = data.get("transactions")
-    if not isinstance(raw_txs, list):
-        raise MalformedDocument('"transactions" must be a list')
-    txs = []
-    for entry in raw_txs:
-        if not isinstance(entry, dict):
-            raise MalformedDocument("transaction entries must be objects")
-        unknown = set(entry) - _TX_FIELDS
-        if unknown:
-            raise MalformedDocument(f"unknown transaction fields: "
-                                    f"{sorted(unknown)}")
-        try:
-            tx_id = entry["id"]
-            time = entry["time"]
-            keys = entry["keys"]
-        except KeyError as exc:
-            raise MalformedDocument(f"transaction missing field {exc}") from exc
-        if not isinstance(keys, list):
-            raise MalformedDocument(f"bad transaction entry: {entry!r}")
-        txs.append(make_transaction(tx_id, time, keys))
-    raw_weights = data.get("weights", {})
-    if not isinstance(raw_weights, dict):
-        raise MalformedDocument('"weights" must be an object')
-    weights = WeightTable(
-        weights={k: to_rational(v) for k, v in raw_weights.items()},
-        default_weight=to_rational(data.get("default_weight", 1)),
-    )
-    return TxSet(txs), weights
+    data = json_object(load_json(document), "block", _BLOCK_FIELDS,
+                       required=("transactions",))
+    return txs_from_json(data["transactions"]), weights_from_json(data)
 
 
 def render_block(txs: TxSet, weights: WeightTable | None = None) -> str:
     """Inverse of parse_block (up to JSON formatting)."""
-    doc: dict = {
-        "transactions": [
-            {"id": tx.tx_id, "time": format_rational(tx.time),
-             "keys": sorted(tx.keys)}
-            for tx in txs
-        ],
-    }
+    doc: dict = {"transactions": [tx_to_json(tx) for tx in txs]}
     if weights is not None:
         doc["weights"] = {k: format_rational(w)
                           for k, w in sorted(weights.weights.items())}

@@ -22,11 +22,12 @@ none of them, so the memory of a run does not grow with its length.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .core import (MalformedDocument, Transaction, TxSet, format_rational,
-                   load_json, to_rational)
+                   json_object, load_json, to_rational)
 from .gcm import PricingEnv
 from .sampling import draw_keys, rng_for
 from .scheduler import InstanceTooLarge
@@ -152,14 +153,16 @@ def _is_int_range(value, low: int) -> bool:
 
 MAX_BIDS_PER_BLOCK = 10_000
 MAX_KEYS_PER_TX = 64
+MAX_KEY_POOL = sys.maxsize  # draw_keys takes the len() of the pool's range
 
 
 @dataclass(frozen=True)
 class WorkloadConfig:
     """Bid stream parameters: integer counts >= 1, at most
-    ``MAX_BIDS_PER_BLOCK`` bids per block, at most ``key_pool`` and at most
-    ``MAX_KEYS_PER_TX`` keys per transaction, integer ranges of times
-    (lo >= 1) and of price numerators (lo >= 0)."""
+    ``MAX_BIDS_PER_BLOCK`` bids per block, at most ``MAX_KEY_POOL`` keys in
+    the pool, at most ``key_pool`` and at most ``MAX_KEYS_PER_TX`` keys per
+    transaction, integer ranges of times (lo >= 1) and of price numerators
+    (lo >= 0)."""
 
     seed: int = 0
     bids_per_block: int = 8
@@ -175,7 +178,8 @@ class WorkloadConfig:
             "bids_per_block": _is_int(self.bids_per_block, 1)
             and self.bids_per_block <= MAX_BIDS_PER_BLOCK,
             "time_range": _is_int_range(self.time_range, 1),
-            "key_pool": _is_int(self.key_pool, 1),
+            "key_pool": _is_int(self.key_pool, 1)
+            and self.key_pool <= MAX_KEY_POOL,
             "max_keys_per_tx": _is_int(self.max_keys_per_tx, 1)
             and self.max_keys_per_tx <= MAX_KEYS_PER_TX
             and _is_int(self.key_pool, self.max_keys_per_tx),
@@ -189,13 +193,8 @@ class WorkloadConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadConfig":
-        if not isinstance(data, dict):
-            raise MalformedDocument("workload config must be a JSON object")
-        extra = set(data) - {f.name for f in fields(cls)}
-        if extra:
-            raise MalformedDocument(
-                f"unknown workload fields: {sorted(extra)}")
-        kwargs = dict(data)
+        kwargs = dict(json_object(data, "workload",
+                                  [f.name for f in fields(cls)]))
         for name in ("time_range", "price_range"):
             if isinstance(kwargs.get(name), list):
                 kwargs[name] = tuple(kwargs[name])

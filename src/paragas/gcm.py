@@ -2,9 +2,9 @@
 
 ``gas(block, tx, mechanism, env)`` returns the exact rational amount of gas
 charged to ``tx`` when the block ``block`` is executed.  The mechanisms
-differ only in what they read: ``current``, ``weighted_area`` and
-``constant`` read the transaction (and the ``PricingEnv``'s weights or
-constant), TPM, ESM and XSM read v(T) from the env's makespan oracle, and
+differ only in what they read: ``constant`` charges one unit, ``current``
+and ``weighted_area`` read the transaction (and the ``PricingEnv``'s
+weights), TPM, ESM and XSM read v(T) from the env's makespan oracle, and
 Shapley and Banzhaf read the block's 2^|T| subset-value table.  That table,
 and the prices derived from it, are kept with the block's compiled form, one
 per thread count, so a block is filled once however many mechanisms or envs
@@ -118,8 +118,8 @@ def _banzhaf_normalized(block: TxSet, tx: Transaction,
     # The raw total of a block that holds tx includes v({tx}) = t > 0.
     vtable = env.vtable_for(block)
     prices = _block_prices(vtable)
-    return prices.banzhaf[tx.tx_id] * vtable.value(block.ids) \
-        / prices.banzhaf_total
+    v_block = Fraction(vtable.scaled[-1], vtable.scale)  # last mask: all of T
+    return prices.banzhaf[tx.tx_id] * v_block / prices.banzhaf_total
 
 
 # mechanism -> (block, tx, env) -> gas, in presentation order.
@@ -136,7 +136,7 @@ _GAS = {
         tx.time / block.total_time() * env.value(block),
     "esm": lambda block, tx, env: env.value(block) / len(block),
     "xsm": lambda block, tx, env: env.value(block) / 3 ** len(block),
-    "constant": lambda block, tx, env: env.constant,
+    "constant": lambda block, tx, env: Fraction(1),
 }
 
 MECHANISMS = tuple(_GAS)
@@ -157,18 +157,14 @@ def gas(block: TxSet, tx: Transaction, mechanism: str,
 
 
 class PricingEnv:
-    """The pricing environment: weights, the constant (> 0), the scheduler
-    config and a makespan oracle, reused across many blocks (property
-    checks price thousands of closely related blocks)."""
+    """The pricing environment: weights, the scheduler config and a
+    makespan oracle, reused across many blocks (property checks price
+    thousands of closely related blocks)."""
 
     def __init__(self, weights: WeightTable | None = None,
-                 scheduler_cfg: SchedulerConfig | None = None,
-                 constant: Fraction = Fraction(1)):
-        if constant <= 0:
-            raise ValueError(f"constant must be > 0, got {constant}")
+                 scheduler_cfg: SchedulerConfig | None = None):
         self.weights = weights or WeightTable()
         self.scheduler_cfg = scheduler_cfg or SchedulerConfig()
-        self.constant = Fraction(constant)
         self.oracle = ValueOracle(self.scheduler_cfg)
 
     def vtable_for(self, block: TxSet) -> SubsetValueTable:

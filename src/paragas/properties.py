@@ -15,8 +15,9 @@ from fractions import Fraction
 from importlib import resources
 from typing import Callable, Iterable, get_type_hints
 
-from .core import (MalformedDocument, Transaction, TxSet, concatenate,
-                   format_rational, make_transaction, similar)
+from .core import (Transaction, TxSet, concatenate, format_rational,
+                   json_object, similar, tx_from_json, tx_to_json,
+                   txs_from_json)
 from .gcm import TABLE_MECHANISMS, PricingEnv
 from .sampling import (SamplerConfig, rng_for, sample_keys, sample_time,
                        sample_transaction, sample_txset)
@@ -84,31 +85,13 @@ class EstimationInstance:
     tx: Transaction
 
 
-def _tx_obj(tx: Transaction) -> dict:
-    return {"id": tx.tx_id, "time": format_rational(tx.time),
-            "keys": sorted(tx.keys)}
-
-
-def _tx_from(obj) -> Transaction:
-    if not (isinstance(obj, dict) and set(obj) == {"id", "time", "keys"}
-            and isinstance(obj["keys"], list)):
-        raise MalformedDocument(f"bad transaction in witness: {obj!r}")
-    return make_transaction(obj["id"], obj["time"], obj["keys"])
-
-
-def _txset_from(objs) -> TxSet:
-    if not isinstance(objs, list):
-        raise MalformedDocument(f"bad transaction set in witness: {objs!r}")
-    return TxSet(_tx_from(obj) for obj in objs)
-
-
-_FROM_JSON = {TxSet: _txset_from, Transaction: _tx_from}
+_FROM_JSON = {TxSet: txs_from_json, Transaction: tx_from_json}
 
 
 def _to_json(value) -> list | dict:
     if isinstance(value, TxSet):
-        return [_tx_obj(tx) for tx in value]
-    return _tx_obj(value)
+        return [tx_to_json(tx) for tx in value]
+    return tx_to_json(value)
 
 
 def instance_to_dict(instance) -> dict:
@@ -122,8 +105,7 @@ def instance_from_dict(prop: str, data: dict):
     malformed document raises a BlockError."""
     cls = _spec(prop).instance
     hints = get_type_hints(cls)
-    if not isinstance(data, dict) or set(data) != set(hints):
-        raise MalformedDocument(f"bad {prop} witness: {data!r}")
+    json_object(data, f"{prop} witness", hints, required=hints)
     return cls(**{name: _FROM_JSON[kind](data[name])
                   for name, kind in hints.items()})
 

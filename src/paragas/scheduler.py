@@ -489,13 +489,6 @@ class SubsetValueTable:
         self.scale = scale
         self.scaled = scaled
         self.prices = None
-        self._bit = {tx_id: 1 << i for i, tx_id in enumerate(ids)}
-
-    def value(self, ids) -> Fraction:
-        mask = 0
-        for tx_id in ids:
-            mask |= self._bit[tx_id]
-        return Fraction(self.scaled[mask], self.scale)
 
     @property
     def values(self) -> dict:

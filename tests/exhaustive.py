@@ -4,9 +4,9 @@ The makespan oracle here enumerates every active schedule with no pruning,
 no bounds and no greedy incumbent, so it shares no shortcuts with the
 library's branch-and-bound search.  The pricing oracles compute one
 transaction at a time straight from the definitions, reading v(S) through
-``SubsetValueTable.value`` in exact rationals, where the library prices a
-whole block from integer sums recorded while it fills the table.  The
-marginal-sum sweep recomputes those sums from the finished table.  The
+``table_value`` in exact rationals, where the library prices a whole block
+by folding the finished table's integer values.  The marginal-sum sweep
+sums the marginals of the table by coalition size.  The
 schedule validator compares every pair of transactions and counts the
 running ones at every start, where the library sweeps sorted intervals.
 """
@@ -68,6 +68,13 @@ def exhaustive_makespan(txs: TxSet, threads) -> Fraction:
     return best[0]
 
 
+def table_value(vtable, ids) -> Fraction:
+    """v(S) of the subset of ids ``ids``, read from a SubsetValueTable,
+    whose bit i of a mask stands for ``vtable.ids[i]``."""
+    mask = sum(1 << vtable.ids.index(tx_id) for tx_id in ids)
+    return Fraction(vtable.scaled[mask], vtable.scale)
+
+
 def _coalitions(block, tx):
     """Every subset of the block without ``tx``, as frozensets of ids."""
     others = sorted(block.ids - {tx.tx_id})
@@ -81,7 +88,8 @@ def shapley_subset(block, tx, vtable) -> Fraction:
     n = len(block)
     total = Fraction(0)
     for chosen in _coalitions(block, tx):
-        marginal = vtable.value(chosen | {tx.tx_id}) - vtable.value(chosen)
+        marginal = table_value(vtable, chosen | {tx.tx_id}) \
+            - table_value(vtable, chosen)
         total += Fraction(factorial(len(chosen))
                           * factorial(n - len(chosen) - 1),
                           factorial(n)) * marginal
@@ -93,22 +101,23 @@ def shapley_permutation(block, tx, vtable) -> Fraction:
     total = Fraction(0)
     for order in permutations(sorted(block.ids)):
         preceding = frozenset(order[:order.index(tx.tx_id)])
-        total += (vtable.value(preceding | {tx.tx_id})
-                  - vtable.value(preceding))
+        total += (table_value(vtable, preceding | {tx.tx_id})
+                  - table_value(vtable, preceding))
     return total / factorial(len(block))
 
 
 def banzhaf(block, tx, vtable, normalized=False) -> Fraction:
     """Raw Banzhaf value (mean marginal over coalitions), or its share of
     v(T) scaled so the block's prices sum to v(T)."""
-    raw = sum((vtable.value(chosen | {tx.tx_id}) - vtable.value(chosen)
+    raw = sum((table_value(vtable, chosen | {tx.tx_id})
+               - table_value(vtable, chosen)
                for chosen in _coalitions(block, tx)), Fraction(0)) \
         / 2 ** (len(block) - 1)
     if not normalized:
         return raw
     raw_total = sum((banzhaf(block, other, vtable) for other in block),
                     Fraction(0))
-    v_block = vtable.value(block.ids)
+    v_block = table_value(vtable, block.ids)
     return raw if raw_total == 0 else raw * v_block / raw_total
 
 

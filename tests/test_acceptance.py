@@ -19,7 +19,7 @@ from paragas.properties import VIOLATED
 from paragas.sampling import rng_for, sample_transaction, sample_txset
 
 from axioms import check_scheduler_axioms
-from exhaustive import shapley_permutation
+from exhaustive import shapley_permutation, table_value
 from lemma import check_lemma_consistency
 
 N2 = SchedulerConfig(threads=2)
@@ -149,7 +149,8 @@ def test_acceptance_5_shapley_internal_oracle():
             forms_agree &= sub == perm
             gases[t.tx_id] = sub
         equal += forms_agree
-        efficient += sum(gases.values(), Fraction(0)) == table.value(block.ids)
+        efficient += sum(gases.values(), Fraction(0)) == \
+            table_value(table, block.ids)
     announce(5, equal == 200 and efficient == 200,
              f"{equal}/200 form agreements, {efficient}/200 efficient")
 

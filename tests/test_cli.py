@@ -1,12 +1,16 @@
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paragas import Schedule, TxSet, cli, make_transaction, render_block
 from paragas.cli import main
@@ -205,15 +209,22 @@ def test_gas_unknown_mechanism_lists_the_choices(capsys, monkeypatch):
     assert code == 2
     assert out.out == ""
     assert out.err == (
-        "usage: paragas gas [-h]\n"
-        "                   [--mech {current,weighted_area,shapley,banzhaf,"
-        "banzhaf_normalized,tpm,esm,xsm,constant}]\n"
-        "                   [--threads N|unbounded] [--weights WEIGHTS]\n"
-        "                   [--format {json,text}]\n"
+        "usage: paragas gas [-h] [--mech MECH] [--threads N|unbounded]\n"
+        "                   [--weights WEIGHTS] [--format {json,text}]\n"
         "                   block\n"
         "paragas gas: error: argument --mech: invalid choice: 'nope' "
         "(choose from 'current', 'weighted_area', 'shapley', 'banzhaf', "
         "'banzhaf_normalized', 'tpm', 'esm', 'xsm', 'constant')\n")
+
+
+@pytest.mark.parametrize("subcommand", ["gas", "simulate"])
+def test_help_fits_a_narrow_terminal(capsys, monkeypatch, subcommand):
+    # The --mech choices, written as one {a,b,...} token, would not wrap.
+    monkeypatch.setenv("COLUMNS", "60")
+    code, out = run(capsys, [subcommand, "--help"])
+    assert code == 0
+    assert "constant" in out.out
+    assert max(map(len, out.out.splitlines())) <= 60
 
 
 def test_simulate_csv_deterministic(capsys):
@@ -331,7 +342,7 @@ def test_check_budget_below_one_is_usage_error(capsys):
     {"time_range": [1]}, {"price_denominator": 0}, {"bids_per_block": "x"},
     {"time_range": [3, 1]}, {"max_keys_per_tx": 9}, {"price_range": 5},
     {"key_pool": 100, "max_keys_per_tx": 65}, {"bids_per_block": 10001},
-    [1, 2]])
+    [1, 2], {"key_pool": 2**63}])
 def test_simulate_bad_workload_config_is_usage_error(tmp_path, capsys,
                                                      config):
     path = tmp_path / "workload.json"
@@ -650,3 +661,107 @@ def test_a_huge_key_count_is_a_usage_error(tmp_path):
     assert one_error_line(proc.stderr)
     assert "max_keys_per_tx" in proc.stderr
     assert proc.stdout == ""
+
+
+# Robustness: generated block, --weights and --workload documents with
+# adversarial leaves.  Whatever the document, a command ends in an answer
+# (exit 0, output that parses) or in exit 2 with one error line.  Blocks
+# stay at 6 transactions or fewer with times 1-5, which the exact
+# scheduler answers at once.
+
+_bad_leaf = st.sampled_from([None, True, False, 0, -1, -10**30, 1.5, 2.0,
+                             "", "1/0", "nan", "1e3", "-1/2", [], [[1]], {}])
+_time = st.sampled_from([1, 2, 5, "3/2", "7/3", "11/5", "13/7"])
+_weight = st.sampled_from([1, "1/2", "7/3", 10**30])
+_key_lists = st.lists(st.sampled_from(["k1", "k2", "k3"]), min_size=1,
+                      max_size=3)
+_good_tx = st.fixed_dictionaries({
+    "id": st.sampled_from([f"t{i}" for i in range(1, 9)]),
+    "time": _time, "keys": _key_lists})
+_bad_tx = st.fixed_dictionaries({}, optional={
+    "id": st.one_of(st.sampled_from(["t1", "t2"]), _bad_leaf),
+    "time": st.one_of(_time, _bad_leaf),
+    "keys": st.one_of(_key_lists, st.lists(_bad_leaf, max_size=2), _bad_leaf),
+    "extra": _bad_leaf})
+_weight_maps = st.dictionaries(st.sampled_from(["k1", "k2", "k9"]),
+                               st.one_of(_weight, _bad_leaf), max_size=3)
+_tx_lists = st.one_of(
+    st.lists(_good_tx, max_size=6),
+    st.lists(st.one_of(_good_tx, _bad_tx, _bad_leaf), max_size=6))
+_weight_fields = {"weights": st.one_of(_weight_maps, _bad_leaf),
+                  "default_weight": st.one_of(_weight, _bad_leaf)}
+_block_docs = st.one_of(
+    st.fixed_dictionaries({"transactions": _tx_lists},
+                          optional=_weight_fields),
+    st.fixed_dictionaries({}, optional={
+        "transactions": st.one_of(_tx_lists, _bad_leaf), **_weight_fields,
+        "bogus": _bad_leaf}),
+    _bad_leaf)
+_weights_docs = st.one_of(st.none(), _weight_maps,
+                          st.fixed_dictionaries({}, optional=_weight_fields),
+                          _bad_leaf)
+
+
+def _ranges(low: int):
+    return st.tuples(st.integers(low, 5), st.integers(low, 5)).map(sorted)
+
+
+_workload_fields = {
+    "seed": st.sampled_from([0, 7, -3, 10**30]),
+    "bids_per_block": st.integers(1, 6), "time_range": _ranges(1),
+    "key_pool": st.sampled_from([1, 3, 8, 10**12, 10**30]),
+    "max_keys_per_tx": st.integers(1, 3), "price_range": _ranges(0),
+    "price_denominator": st.integers(1, 3)}
+_workload_docs = st.one_of(
+    st.fixed_dictionaries({}, optional=_workload_fields),
+    st.fixed_dictionaries({}, optional={
+        **{name: st.one_of(field, _bad_leaf, st.sampled_from([[5, 1], [1]]))
+           for name, field in _workload_fields.items()},
+        "bogus": _bad_leaf}),
+    _bad_leaf)
+
+
+@pytest.fixture(scope="module")
+def docs_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("docs")
+
+
+def _write(directory, name, doc) -> str:
+    path = directory / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def answers_or_exits_2(argv):
+    """Run ``main(argv)`` in process and check how it ends."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, code, err.getvalue())
+    if code == 2:
+        assert one_error_line(err.getvalue()), (argv, err.getvalue())
+    else:
+        json.loads(out.getvalue())
+
+
+@settings(max_examples=150, deadline=None)
+@given(block=_block_docs, weights=_weights_docs,
+       threads=st.sampled_from(["2", "3", "unbounded"]))
+def test_block_and_weights_documents_end_in_an_answer_or_exit_2(
+        docs_dir, block, weights, threads):
+    block_path = _write(docs_dir, "block.json", block)
+    flags = ["--threads", threads, "--format", "json"]
+    if weights is not None:
+        flags += ["--weights", _write(docs_dir, "weights.json", weights)]
+    for mech in ("current", "tpm", "shapley"):
+        answers_or_exits_2(["gas", block_path, "--mech", mech, *flags])
+    answers_or_exits_2(["schedule", block_path, "--threads", threads,
+                        "--format", "json"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(workload=_workload_docs)
+def test_workload_documents_end_in_an_answer_or_exit_2(docs_dir, workload):
+    answers_or_exits_2(["simulate", "--blocks", "3", "--format", "json",
+                        "--workload",
+                        _write(docs_dir, "workload.json", workload)])

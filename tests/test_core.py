@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paragas import (DuplicateId, EmptyKeySet, MalformedDocument,
+from paragas import (BlockError, DuplicateId, EmptyKeySet, MalformedDocument,
                      NonPositiveTime, NonPositiveWeight, Transaction, TxSet,
                      WeightTable, concatenate, format_rational,
                      make_transaction, parse_block, render_block, similar,
                      to_rational)
+from paragas.properties import instance_from_dict
 
 
 def test_to_rational_accepts_ints_fractions_and_strings():
@@ -176,3 +177,49 @@ def test_render_then_parse_round_trips(block, weights):
     txs2, weights2 = parse_block(render_block(txs, weights))
     assert txs2 == txs
     assert weights2 == (weights or WeightTable())
+
+
+# Leaves that no transaction field accepts, and fields that are well formed.
+_junk = st.sampled_from([None, True, False, 0, -1, -10**30, 1.5, 2.0, "",
+                         "x", "1/0", "nan", "1e3", "-1/2", [], [[]], {}])
+_good_field = {
+    "id": st.sampled_from(["a", "b", "c"]),
+    "time": st.sampled_from([1, 5, 10**30, "3/2", "7/3"]),
+    "keys": st.lists(st.sampled_from(["k1", "k2"]), min_size=1, max_size=3),
+}
+_tx_field = {
+    "id": st.one_of(_good_field["id"], _junk),
+    "time": st.one_of(_good_field["time"], _junk),
+    "keys": st.one_of(_good_field["keys"], st.lists(_junk, max_size=2),
+                      _junk),
+}
+_tx_objects = st.one_of(
+    st.fixed_dictionaries(_good_field), st.fixed_dictionaries(_good_field),
+    st.fixed_dictionaries(_tx_field, optional={"extra": _junk}),
+    st.fixed_dictionaries({}, optional=_tx_field), _junk)
+
+
+def _outcome(read):
+    """What ``read()`` returns, or BlockError when it raises one."""
+    try:
+        return read()
+    except BlockError:
+        return BlockError
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(_tx_objects, max_size=4))
+def test_blocks_and_witnesses_read_transactions_alike(entries):
+    # A witness stores transactions as block files do, so both readers must
+    # accept the same objects and build the same transactions from them.
+    block = _outcome(lambda: parse_block(json.dumps({"transactions":
+                                                     entries}))[0])
+    base = _outcome(lambda: instance_from_dict("efficiency",
+                                               {"base": entries}).base)
+    assert block == base
+    for entry in entries:
+        one = _outcome(lambda: list(parse_block(json.dumps(
+            {"transactions": [entry]}))[0]))
+        tx = _outcome(lambda: [instance_from_dict("easy_gas_estimation", {
+            "block1": [], "block2": [], "tx": entry}).tx])
+        assert one == tx

@@ -175,13 +175,10 @@ def test_xsm_exponential_shares():
 
 
 def test_constant_mechanism():
-    e1 = PricingEnv(scheduler_cfg=N2)
+    e = PricingEnv(scheduler_cfg=N2)
     block = TxSet([tx("a", 3, ["k1"]), tx("b", "1/2", ["k2", "k3"])])
-    assert e1.gas(block, block.get("a"), "constant") == 1
-    e2 = PricingEnv(scheduler_cfg=N2, constant=Fraction(5, 2))
-    assert e2.gas(block, block.get("a"), "constant") == Fraction(5, 2)
-    assert e2.gas(block, block.get("a"), "constant") == \
-        e2.gas(block, block.get("b"), "constant")
+    assert e.gas(block, block.get("a"), "constant") == 1
+    assert e.gas(block, block.get("b"), "constant") == 1
 
 
 def test_tx_must_be_member_of_block():
@@ -191,13 +188,6 @@ def test_tx_must_be_member_of_block():
     for mech in MECHANISMS:
         with pytest.raises(TxNotInSet):
             e.gas(block, stranger, mech)
-
-
-def test_constant_must_be_positive():
-    # Refused when the env is built, not on each call of the mechanism.
-    for constant in (Fraction(0), Fraction(-1, 2)):
-        with pytest.raises(ValueError, match="constant must be > 0"):
-            PricingEnv(scheduler_cfg=N2, constant=constant)
 
 
 def test_unknown_mechanism_is_refused():

@@ -29,7 +29,7 @@ from paragas import (DuplicateId, PricingEnv, SchedulerConfig, TxSet,
 from paragas.core import parse_block
 from paragas.sampling import SamplerConfig, rng_for, sample_txset
 
-from exhaustive import exhaustive_makespan, marginal_sums
+from exhaustive import exhaustive_makespan, marginal_sums, table_value
 
 threads_st = st.sampled_from((2, 3, None))
 
@@ -115,7 +115,8 @@ def test_adding_a_transaction_costs_between_nothing_and_its_time(block,
     for ids, v in table.values.items():
         for tx in block:
             if tx.tx_id not in ids:
-                assert v <= table.value(ids | {tx.tx_id}) <= v + tx.time
+                assert v <= table_value(table, ids | {tx.tx_id}) \
+                    <= v + tx.time
 
 
 @settings(max_examples=100, deadline=None)
@@ -161,7 +162,7 @@ def test_lattice_fallback_gives_the_searched_schedule(block, threads):
     with mock.patch.object(scheduler, "_search", exhausted):
         fallback = optimal_schedule(block, cfg)
         assert scheduler.optimal_makespan(block, cfg) == \
-            table.value(block.ids)
+            table_value(table, block.ids)
     assert fallback.starts == plain.starts
     assert validate_schedule(fallback, block, cfg).valid
 
@@ -174,7 +175,7 @@ def test_schedules_are_valid_and_the_exact_one_takes_v(block, threads):
     greedy = greedy_schedule(block, cfg)
     assert validate_schedule(exact, block, cfg).valid
     assert validate_schedule(greedy, block, cfg).valid
-    v_block = subset_value_table(block, cfg).value(block.ids)
+    v_block = table_value(subset_value_table(block, cfg), block.ids)
     assert makespan(exact) == v_block <= makespan(greedy)
 
 
@@ -186,7 +187,7 @@ def test_efficient_mechanisms_charge_v_in_total(mech, block, threads):
     cfg = SchedulerConfig(threads=threads)
     env = PricingEnv(scheduler_cfg=cfg)
     assert env.block_gas(block, block, mech) == \
-        subset_value_table(block, cfg).value(block.ids)
+        table_value(subset_value_table(block, cfg), block.ids)
 
 
 # Five key-disjoint transactions of times 3, 3, 2, 2, 2: at 2 threads the
@@ -201,7 +202,7 @@ OPEN_BLOCK = TxSet(make_transaction(f"t{i}", t, [f"k{i}"])
 def test_oracle_search_and_table_agree_on_v(block, threads):
     cfg = SchedulerConfig(threads=threads)
     assert ValueOracle(cfg).value(block) == optimal_makespan(block, cfg) == \
-        subset_value_table(block, cfg).value(block.ids)
+        table_value(subset_value_table(block, cfg), block.ids)
 
 
 @settings(max_examples=30, deadline=None)
@@ -213,7 +214,7 @@ def test_table_values_yield_every_id_subset_once(block, threads):
     for mask, ids in enumerate(subsets):
         assert ids == {tx.tx_id for i, tx in enumerate(block)
                        if mask >> i & 1}
-        assert table.values[ids] == table.value(ids)
+        assert table.values[ids] == table_value(table, ids)
 
 
 def same_set(fast, slow):

@@ -13,7 +13,8 @@ from paragas.sampling import SamplerConfig, rng_for, sample_transaction, \
     sample_txset
 
 from axioms import check_scheduler_axioms
-from exhaustive import exhaustive_makespan, quadratic_validate_schedule
+from exhaustive import (exhaustive_makespan, quadratic_validate_schedule,
+                        table_value)
 
 N2 = SchedulerConfig(threads=2)
 N3 = SchedulerConfig(threads=3)
@@ -133,7 +134,7 @@ def test_keyless_open_block_is_searched():
     assert validate_schedule(sched, block, N2).valid
     assert makespan(sched) == 6
     assert ValueOracle(N2).value(block) == 6
-    assert subset_value_table(block, N2).value(block.ids) == 6
+    assert table_value(subset_value_table(block, N2), block.ids) == 6
 
 
 def test_greedy_basics():
@@ -168,13 +169,13 @@ def test_subset_value_table_three_txs():
     block = TxSet([tx("tx1", 1, ["k1"]), tx("tx2", 1, ["k1"]),
                    tx("tx3", 1, ["k2"])])
     table = subset_value_table(block, N2)
-    assert table.value(frozenset()) == 0
+    assert table_value(table, frozenset()) == 0
     for tx_id in block.ids:
-        assert table.value(frozenset({tx_id})) == 1
-    assert table.value(frozenset({"tx1", "tx2"})) == 2
-    assert table.value(frozenset({"tx1", "tx3"})) == 1
-    assert table.value(frozenset({"tx2", "tx3"})) == 1
-    assert table.value(block.ids) == 2
+        assert table_value(table, frozenset({tx_id})) == 1
+    assert table_value(table, frozenset({"tx1", "tx2"})) == 2
+    assert table_value(table, frozenset({"tx1", "tx3"})) == 1
+    assert table_value(table, frozenset({"tx2", "tx3"})) == 1
+    assert table_value(table, block.ids) == 2
     # monotone under subset growth
     items = sorted(table.values.items(), key=lambda kv: len(kv[0]))
     for ids, v in items:
@@ -286,7 +287,7 @@ def test_value_oracle_memo_is_bounded(monkeypatch):
 @pytest.mark.parametrize("cfg", [N2, N3])
 def test_value_oracle_reads_v_of_a_tabled_block(cfg, monkeypatch):
     block = open_block("abcde")
-    v = subset_value_table(block, cfg).value(block.ids)
+    v = table_value(subset_value_table(block, cfg), block.ids)
 
     def fail(*_args, **_kwargs):
         raise AssertionError("v(T) of a tabled block was computed again")
