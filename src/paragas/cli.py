@@ -19,8 +19,9 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
-from .core import (BlockError, WeightTable, format_approx, format_rational,
-                   load_json, parse_block, to_rational, weights_from_json)
+from .core import (BlockError, WeightTable, echo, format_approx,
+                   format_rational, load_json, parse_block, to_rational,
+                   weights_from_json)
 from .feemarket import (BaseFeeBelowFloor, BaseFeeState, BlockResult,
                         WorkloadConfig, simulate, workload)
 from .gcm import MECHANISMS, TABLE_MECHANISMS, PricingEnv
@@ -51,7 +52,7 @@ def _int_at_least(low: int):
             n = low - 1
         if n < low:
             raise argparse.ArgumentTypeError(
-                f"must be an integer >= {low}, got {value!r}")
+                f"must be an integer >= {low}, got {echo(value)}")
         return n
     return parse
 
@@ -63,7 +64,7 @@ def _threads(value: str):
 def _positive_rational(flag: str, value: str) -> Fraction:
     q = to_rational(value)
     if q <= 0:
-        raise UsageError(f"{flag} must be > 0, got {value!r}")
+        raise UsageError(f"{flag} must be > 0, got {echo(value)}")
     return q
 
 
@@ -75,7 +76,7 @@ def _scheduler_cfg(threads) -> SchedulerConfig:
         return SchedulerConfig(threads=threads, instance_cap=int(cap))
     except ValueError:
         raise UsageError(f"{INSTANCE_CAP_ENV} must be an integer from 1 to "
-                         f"{MAX_INSTANCE_CAP}, got {cap!r}")
+                         f"{MAX_INSTANCE_CAP}, got {echo(cap)}")
 
 
 def _read(path: str, what: str) -> str:
@@ -184,9 +185,9 @@ def cmd_schedule(args) -> int:
 def cmd_check(args) -> int:
     if args.mech not in ("all", *TABLE_MECHANISMS):
         raise UsageError(
-            f"mechanism {args.mech!r} is not in the comparison matrix")
+            f"mechanism {echo(args.mech)} is not in the comparison matrix")
     if args.prop not in ("all", *PROPERTIES):
-        raise UsageError(f"unknown property {args.prop!r}")
+        raise UsageError(f"unknown property {echo(args.prop)}")
     mechs = TABLE_MECHANISMS if args.mech == "all" else (args.mech,)
     props = PROPERTIES if args.prop == "all" else (args.prop,)
     failures = []
@@ -278,8 +279,9 @@ def cmd_simulate(args) -> int:
         for index, (result, state) in enumerate(blocks):
             writer.writerow(_row(index, result, gas_limit))
         return EXIT_OK
-    # The bytes of print(json.dumps(doc, indent=2)), one row at a time;
-    # --blocks is at least 1, so the rows list is never empty.
+    # The bytes of print(json.dumps(doc, indent=2)), one row at a time.
+    # A block that fails part-way still leaves a whole document: the rows
+    # before it and the base fee after the last completed block.
     config = {"mechanism": args.mech, "blocks": args.blocks,
               "seed": wl_cfg.seed, "gas_limit": args.gas_limit,
               "target": args.target, "base_fee": args.base_fee,
@@ -288,12 +290,14 @@ def cmd_simulate(args) -> int:
     out.write(json.dumps({"config": config}, indent=2)[:-2]
               + ',\n  "rows": [')
     sep = "\n    "
-    for index, (result, state) in enumerate(blocks):
-        row = dict(zip(CSV_COLUMNS, _row(index, result, gas_limit)))
-        out.write(sep + json.dumps(row, indent=2).replace("\n", "\n    "))
-        sep = ",\n    "
-    final = json.dumps(format_rational(state.base_fee))
-    out.write(f'\n  ],\n  "final_base_fee": {final}\n}}\n')
+    try:
+        for index, (result, state) in enumerate(blocks):
+            row = dict(zip(CSV_COLUMNS, _row(index, result, gas_limit)))
+            out.write(sep + json.dumps(row, indent=2).replace("\n", "\n    "))
+            sep = ",\n    "
+    finally:
+        final = json.dumps(format_rational(state.base_fee))
+        out.write(f'\n  ],\n  "final_base_fee": {final}\n}}\n')
     return EXIT_OK
 
 

@@ -6,7 +6,8 @@ this package ever goes through floating point, so all comparisons are exact.
 Every JSON format of the package is read here and only here: block files,
 the transaction objects that blocks and property witnesses share, and key
 weights; ``json_object`` is the one check of an object's fields, which the
-workload and witness readers use too.
+workload and witness readers use too.  Every error message that echoes an
+input shows it through ``echo``, so a huge input gives a short message.
 """
 from __future__ import annotations
 
@@ -42,13 +43,26 @@ class NonPositiveWeight(BlockError):
     pass
 
 
+ECHO_CHARS = 80  # the longest repr of an input that an error echoes whole
+
+
+def echo(value) -> str:
+    """``repr(value)`` for an error message that echoes an input: cut to
+    ``ECHO_CHARS`` characters, with its full length appended, when longer,
+    so a huge input gives a short error line."""
+    text = repr(value)
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
+
+
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
 def to_rational(value: int | str | Fraction) -> Fraction:
     """Parse an exact rational given as an int, Fraction or "p/q" string."""
     if isinstance(value, bool):
-        raise MalformedDocument(f"not a rational: {value!r}")
+        raise MalformedDocument(f"not a rational: {echo(value)}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
@@ -58,7 +72,7 @@ def to_rational(value: int | str | Fraction) -> Fraction:
                 return Fraction(int(m.group(1)), int(m.group(2) or 1))
             except ValueError:  # more digits than int() converts
                 pass
-    raise MalformedDocument(f"not a rational: {value!r}")
+    raise MalformedDocument(f"not a rational: {echo(value)}")
 
 
 def format_rational(value: Fraction) -> str:
@@ -100,16 +114,19 @@ def make_transaction(tx_id: str, time: int | str | Fraction,
     number is refused, not coerced, since 1 and "1" would name one key."""
     keys = tuple(keys)
     if not isinstance(tx_id, str):
-        raise MalformedDocument(f"transaction id {tx_id!r} is not a string")
-    if not all(isinstance(k, str) for k in keys):
         raise MalformedDocument(
-            f"transaction {tx_id!r}: keys must be strings, got {list(keys)!r}")
+            f"transaction id {echo(tx_id)} is not a string")
+    if not all(isinstance(k, str) for k in keys):
+        raise MalformedDocument(f"transaction {echo(tx_id)}: keys must be "
+                                f"strings, got {echo(list(keys))}")
     t = to_rational(time)
     if t <= 0:
-        raise NonPositiveTime(f"transaction {tx_id!r}: time must be > 0, got {t}")
+        raise NonPositiveTime(
+            f"transaction {echo(tx_id)}: time must be > 0, got {t}")
     key_set = frozenset(keys)
     if not key_set:
-        raise EmptyKeySet(f"transaction {tx_id!r}: key set must be non-empty")
+        raise EmptyKeySet(
+            f"transaction {echo(tx_id)}: key set must be non-empty")
     return Transaction(tx_id, t, key_set)
 
 
@@ -151,7 +168,7 @@ class TxSet:
         if len(by_id) < len(ordered):
             dup = next(a.tx_id for a, b in zip(ordered, ordered[1:])
                        if a.tx_id == b.tx_id)
-            raise DuplicateId(f"duplicate transaction id {dup!r}")
+            raise DuplicateId(f"duplicate transaction id {echo(dup)}")
         _set(self, "txs", ordered)
         _set(self, "_by_id", by_id)
 
@@ -250,7 +267,8 @@ class WeightTable:
             w = to_rational(w)
             self.weights[key] = w
             if w <= 0:
-                raise NonPositiveWeight(f"weight of {key!r} must be > 0, got {w}")
+                raise NonPositiveWeight(
+                    f"weight of {echo(key)} must be > 0, got {w}")
 
     def get(self, key: str) -> Fraction:
         return self.weights.get(key, self.default_weight)
@@ -261,7 +279,7 @@ def _unique_keys(pairs: list) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise MalformedDocument(f"duplicate JSON key {key!r}")
+            raise MalformedDocument(f"duplicate JSON key {echo(key)}")
         obj[key] = value
     return obj
 
@@ -287,7 +305,7 @@ def json_object(doc, what: str, allowed, required=()) -> dict:
     unknown = doc.keys() - set(allowed)
     if unknown:
         raise MalformedDocument(
-            f"unknown {what} fields: {sorted(unknown, key=str)}")
+            f"unknown {what} fields: {echo(sorted(unknown, key=str))}")
     for name in required:
         if name not in doc:
             raise MalformedDocument(f"{what} missing field {name!r}")
@@ -302,8 +320,8 @@ def tx_from_json(obj) -> Transaction:
     """The transaction of a ``{"id", "time", "keys"}`` object."""
     json_object(obj, "transaction", _TX_FIELDS, required=_TX_FIELDS)
     if not isinstance(obj["keys"], list):
-        raise MalformedDocument(f"transaction {obj['id']!r}: keys must be "
-                                f"a list, got {obj['keys']!r}")
+        raise MalformedDocument(f"transaction {echo(obj['id'])}: keys must "
+                                f"be a list, got {echo(obj['keys'])}")
     return make_transaction(obj["id"], obj["time"], obj["keys"])
 
 

@@ -26,8 +26,8 @@ import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
-from .core import (MalformedDocument, Transaction, TxSet, format_rational,
-                   json_object, load_json, to_rational)
+from .core import (MalformedDocument, Transaction, TxSet, echo,
+                   format_rational, json_object, load_json, to_rational)
 from .gcm import PricingEnv
 from .sampling import draw_keys, rng_for
 from .scheduler import InstanceTooLarge
@@ -186,7 +186,7 @@ class WorkloadConfig:
             "price_range": _is_int_range(self.price_range, 0),
             "price_denominator": _is_int(self.price_denominator, 1),
         }
-        bad = [f"{name}={getattr(self, name)!r}"
+        bad = [f"{name}={echo(getattr(self, name))}"
                for name, ok in checks.items() if not ok]
         if bad:
             raise MalformedDocument(f"bad workload fields: {', '.join(bad)}")

@@ -5,10 +5,13 @@ charged to ``tx`` when the block ``block`` is executed.  The mechanisms
 differ only in what they read: ``constant`` charges one unit, ``current``
 and ``weighted_area`` read the transaction (and the ``PricingEnv``'s
 weights), TPM, ESM and XSM read v(T) from the env's makespan oracle, and
-Shapley and Banzhaf read the block's 2^|T| subset-value table.  That table,
-and the prices derived from it, are kept with the block's compiled form, one
-per thread count, so a block is filled once however many mechanisms or envs
-price it, and both are freed with the block.
+Shapley and Banzhaf read the block's 2^|T| subset-value table.  Both come
+from the scheduler, which alone checks the instance cap and keeps the exact
+answers of a block: ``PricingEnv.vtable_for`` is a call to
+``scheduler.kept_table``, which returns the table kept with the block at the
+env's thread count or fills and keeps it.  The prices derived from a table
+are cached on it, so a block is filled once however many mechanisms or envs
+price it, and tables and prices are freed with the block.
 
 Coalition sums.  With v the table's scaled values and w_s = s!(n - s - 1)!
 (w_n = 0), the Shapley price of i is A_i - B over n! scale, where
@@ -37,7 +40,7 @@ from typing import NamedTuple
 
 from .core import Transaction, TxSet, WeightTable
 from .scheduler import (SchedulerConfig, SubsetValueTable, ValueOracle,
-                        compiled, subset_value_table)
+                        kept_table)
 
 
 class TxNotInSet(ValueError):
@@ -168,13 +171,9 @@ class PricingEnv:
         self.oracle = ValueOracle(self.scheduler_cfg)
 
     def vtable_for(self, block: TxSet) -> SubsetValueTable:
-        """The block's subset-value table at this env's thread count, from
-        its compiled form when a table is already kept there."""
-        cfg = self.scheduler_cfg
-        vtable = compiled(block).tables.get(cfg.threads)
-        if vtable is None or len(block) > cfg.instance_cap:
-            vtable = subset_value_table(block, cfg)  # refuses |T| > cap
-        return vtable
+        """The block's subset-value table at this env's thread count: the
+        scheduler's kept table, filled on first use."""
+        return kept_table(block, self.scheduler_cfg)
 
     def gas(self, block: TxSet, tx: Transaction, mechanism: str) -> Fraction:
         return gas(block, tx, mechanism, self)

@@ -44,14 +44,20 @@ the lowest transaction of S along shared keys; the rule is tried before
 any other bound.
 
 Whole blocks.  Each block is compiled once: ``compiled`` keeps its integer
-form, with the greedy list order, in the TxSet, and every entry point below
-reads it.  The compiled form also keeps, per thread count, v(T) once it is
-known and the block's subset-value table once it is filled:
-``ValueOracle.value`` writes v(T) after its first answer, and
-``subset_value_table`` writes v(T) and the table (with the prices the gcm
-module caches on it) after its fill.  The oracle answers a later lookup of
-the block from ``known``, and ``gcm.PricingEnv.vtable_for`` reads the table
-from ``tables``; both live exactly as long as the block.
+form, with the greedy list order, in the TxSet.  Only this module decides
+whether a block may go to the exact scheduler and where its exact answers
+are kept, through two helpers.  The gate, ``_admit``, refuses a block over
+the instance cap and returns the compiled form; ``optimal_schedule``,
+``optimal_makespan``, ``ValueOracle.value`` and ``subset_value_table`` all
+pass it before they read or fill anything.  The compiled form keeps, per
+thread count, v(T) once it is known (``known``) and the block's
+subset-value table once it is filled (``tables``, with the prices the gcm
+module caches on it); both live exactly as long as the block.
+``ValueOracle.value`` writes v(T) after its first answer and answers a
+later lookup of the block from ``known``.  The table door, ``kept_table``,
+returns the kept table or calls ``subset_value_table``, the one caller of
+``_fill``, which fills it and keeps it with v(T); the gcm module prices
+from this door, and the lattice fallback below goes through it too.
 ``optimal_makespan``, ``optimal_schedule`` and ``ValueOracle.value`` first
 compare the greedy makespan with b(T), the bound that every node of the
 search applies too; when they meet, v(T) is the greedy makespan and the
@@ -59,12 +65,13 @@ starts are the greedy ones.  These are the starts the search would
 return: it only replaces the greedy starts with a strictly shorter
 schedule, and none exists.  Only a block the bounds leave open goes to the
 oracle's memo and to the search, which runs on the whole block with a
-budget of max(2^|T|, 256) nodes.  If it runs out, they fill the table
-instead and read v(T) from it; for the starts, the search reruns from the
-greedy incumbent with floor v(T) and the table's c + v(R) cut.  It returns
-the same schedule as the plain search: both return the first optimal
-schedule in depth-first order, and while the incumbent is above v(T) no
-bound cuts the branch that leads to it.
+budget of max(2^|T|, 256) nodes.  If it runs out, they take the table from
+the door, so a later Shapley price or oracle lookup of the block reads it
+without a second fill, and read v(T) from it; for the starts, the search
+reruns from the greedy incumbent with floor v(T) and the table's
+c + v(R) cut.  It returns the same schedule as the plain search: both
+return the first optimal schedule in depth-first order, and while the
+incumbent is above v(T) no bound cuts the branch that leads to it.
 """
 from __future__ import annotations
 
@@ -261,6 +268,16 @@ def compiled(txs: TxSet) -> _Scaled:
     return txs.compiled_form(_Scaled)
 
 
+def _admit(txs: TxSet, cfg: SchedulerConfig) -> _Scaled:
+    """The compiled form of ``txs``, once the block is known to be within
+    the instance cap: the one check of the cap, which every exact entry
+    point makes before it reads or fills anything of the block."""
+    if len(txs) > cfg.instance_cap:
+        raise InstanceTooLarge(
+            f"|T| = {len(txs)} exceeds instance cap {cfg.instance_cap}")
+    return compiled(txs)
+
+
 def _greedy(sc: _Scaled, threads: int | None, pending: list) -> tuple[int, dict]:
     """The list schedule of ``pending``, given longest time first (ties by
     id, as ``order`` lists them): at each event time start every
@@ -386,12 +403,6 @@ def _search(sc: _Scaled, threads: int | None, items, best: int, floor: int,
     return found[0], found[1]
 
 
-def _check_cap(n: int, cfg: SchedulerConfig) -> None:
-    if n > cfg.instance_cap:
-        raise InstanceTooLarge(
-            f"|T| = {n} exceeds instance cap {cfg.instance_cap}")
-
-
 def _bounds(sc: _Scaled, threads: int | None) -> tuple[int, int, dict]:
     """The static lower bound of the whole block, and the makespan and
     starts of its greedy schedule, an upper bound; v(T) is the greedy
@@ -400,20 +411,19 @@ def _bounds(sc: _Scaled, threads: int | None) -> tuple[int, int, dict]:
             *_greedy(sc, threads, sc.order))
 
 
-def _optimal(sc: _Scaled, cfg: SchedulerConfig) -> tuple[int, dict]:
-    """Least scaled makespan of the whole block and starts achieving it:
-    the greedy schedule unless the search beats it."""
-    n, threads = len(sc.times), cfg.threads
-    _check_cap(n, cfg)
+def _optimal(txs: TxSet, cfg: SchedulerConfig) -> tuple[_Scaled, int, dict]:
+    """The compiled block, its least scaled makespan and starts achieving
+    it: the greedy schedule unless the search beats it."""
+    sc, n, threads = _admit(txs, cfg), len(txs), cfg.threads
     floor, incumbent, starts = _bounds(sc, threads)
     if incumbent == floor:
-        return incumbent, starts
+        return sc, incumbent, starts
     items = range(n)
     try:
         best, found = _search(sc, threads, items, incumbent, floor,
                               budget=max(1 << n, 256))
     except _OverBudget:
-        v = _fill(sc, threads)
+        v = kept_table(txs, cfg).scaled
         best, found = v[-1], None
         if best < incumbent:
             found = _search(sc, threads, items, incumbent, best, v)[1]
@@ -422,18 +432,18 @@ def _optimal(sc: _Scaled, cfg: SchedulerConfig) -> tuple[int, dict]:
         while found is not None:
             (batch, start), found = found
             starts.update(dict.fromkeys(batch, start))
-    return best, starts
+    return sc, best, starts
 
 
 def optimal_schedule(txs: TxSet, cfg: SchedulerConfig) -> Schedule:
-    sc = compiled(txs)
-    return sc.schedule(txs, _optimal(sc, cfg)[1])
+    sc, _best, starts = _optimal(txs, cfg)
+    return sc.schedule(txs, starts)
 
 
 def optimal_makespan(txs: TxSet, cfg: SchedulerConfig) -> Fraction:
     """v(T): the exact minimum makespan over all valid schedules."""
-    sc = compiled(txs)
-    return Fraction(_optimal(sc, cfg)[0], sc.scale)
+    sc, best, _starts = _optimal(txs, cfg)
+    return Fraction(best, sc.scale)
 
 
 MEMO_CAP = 1 << 15  # makespans an oracle keeps before starting afresh
@@ -452,9 +462,7 @@ class ValueOracle:
         self._memo: dict[tuple, Fraction] = {}
 
     def value(self, txs: TxSet) -> Fraction:
-        _check_cap(len(txs), self.cfg)
-        threads = self.cfg.threads
-        sc = compiled(txs)
+        sc, threads = _admit(txs, self.cfg), self.cfg.threads
         got = sc.known.get(threads)
         if got is not None:
             return got
@@ -503,13 +511,19 @@ def subset_value_table(txs: TxSet, cfg: SchedulerConfig) -> SubsetValueTable:
     """v(S) for all 2^|T| subsets, filled by increasing mask so that every
     v(S - i) is known before v(S), and kept with the compiled block; see
     the module docstring."""
-    _check_cap(len(txs), cfg)
-    sc = compiled(txs)
+    sc = _admit(txs, cfg)
     v = _fill(sc, cfg.threads)
     sc.known[cfg.threads] = Fraction(v[-1], sc.scale)
     table = sc.tables[cfg.threads] = SubsetValueTable(
         tuple(tx.tx_id for tx in txs), sc.scale, v)
     return table
+
+
+def kept_table(txs: TxSet, cfg: SchedulerConfig) -> SubsetValueTable:
+    """The block's subset-value table at ``cfg.threads``: the one kept
+    with its compiled form, or else a new fill, which is kept there."""
+    table = _admit(txs, cfg).tables.get(cfg.threads)
+    return table if table is not None else subset_value_table(txs, cfg)
 
 
 def _fill(sc: _Scaled, threads: int | None) -> list:

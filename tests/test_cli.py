@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -522,6 +523,58 @@ def test_simulate_error_after_some_blocks_keeps_the_rows_before_it(
     assert all(row.split(",")[-1] == "0" for row in rows[1:])
 
 
+@pytest.mark.parametrize("workload, blocks, failed", [
+    ({"bids_per_block": 40, "time_range": [1, 1]}, 3, 0),
+    ({"bids_per_block": 14, "time_range": [1, 1], "seed": 1}, 2, 1)])
+def test_simulate_json_stays_whole_when_a_block_fails(tmp_path, capsys,
+                                                      workload, blocks,
+                                                      failed):
+    # The document closes after the rows of the blocks before the failed
+    # one, with the base fee after the last of them: the same document a
+    # run of just those blocks prints, but for its block count.
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps(workload))
+    argv = ["simulate", "--workload", str(path), "--blocks"]
+    code, out = run(capsys, [*argv, str(blocks), "--format", "json"])
+    assert code == 2
+    assert one_error_line(out.err)
+    assert out.err.startswith(f"error: block {failed}: ")
+    doc = json.loads(out.out)
+    assert len(doc["rows"]) == failed
+    _code, csv_out = run(capsys, [*argv, str(blocks)])
+    assert [{name: str(value) for name, value in row.items()}
+            for row in doc["rows"]] == \
+        list(csv.DictReader(io.StringIO(csv_out.out)))
+    if failed:
+        code, whole = run(capsys, [*argv, str(failed), "--format", "json"])
+        assert code == 0
+        assert {**json.loads(whole.out), "config": doc["config"]} == doc
+    else:
+        assert doc["final_base_fee"] == "1"
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["gas"], {"transactions": [{"id": "a", "time": 1,
+                                 "keys": "k" * 10**6}]}),
+    (["gas"], {"transactions": [{"id": "a", "time": "1" * 10**5,
+                                 "keys": ["k"]}]}),
+    (["gas"], {"transactions": [], **{f"f{i}": 1 for i in range(10**5)}}),
+    (["simulate", "--workload"], {"time_range": list(range(10**5))}),
+    (["simulate", "--gas-limit", "9" * 10**5, "--workload"], {}),
+    (["simulate", "--blocks", "x" * 10**5, "--workload"], {}),
+], ids=["keys", "time", "block-fields", "time-range", "gas-limit", "blocks"])
+def test_an_oversized_input_gives_a_short_error_line(tmp_path, capsys, argv,
+                                                     doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, [*argv, str(path)])
+    assert code == 2
+    assert one_error_line(out.err)
+    error = next(line for line in out.err.splitlines() if "error:" in line)
+    assert len(error.encode()) < 1000
+    assert " characters)" in error
+
+
 def test_simulate_into_a_closed_pipe_stops_quietly():
     # As `paragas simulate --blocks 2000 | head -n 1`: the rows written
     # after the reader has gone used to end in a BrokenPipeError traceback.
@@ -732,15 +785,17 @@ def _write(directory, name, doc) -> str:
     return str(path)
 
 
-def answers_or_exits_2(argv):
-    """Run ``main(argv)`` in process and check how it ends."""
+def answers_or_exits_2(argv, answers=(0,)):
+    """Run ``main(argv)`` in process and check how it ends: in an exit code
+    of ``answers`` with JSON that parses, or in exit 2 with one error line
+    and, on stdout, nothing or a whole JSON document."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 2), (argv, code, err.getvalue())
+    assert code in (*answers, 2), (argv, code, err.getvalue())
     if code == 2:
         assert one_error_line(err.getvalue()), (argv, err.getvalue())
-    else:
+    if code != 2 or out.getvalue():
         json.loads(out.getvalue())
 
 
@@ -765,3 +820,50 @@ def test_workload_documents_end_in_an_answer_or_exit_2(docs_dir, workload):
     answers_or_exits_2(["simulate", "--blocks", "3", "--format", "json",
                         "--workload",
                         _write(docs_dir, "workload.json", workload)])
+
+
+# Flag values.  Each run draws every flag from values the command accepts
+# but for at most one, which gets an adversarial string: a rational-looking
+# one, an integer or arbitrary text.  check runs one cell of the matrix, or
+# none when a name is unknown.
+
+_good_rational = st.sampled_from(["1", "20", "7/3", "1/1000", " 3 ", "9" * 40,
+                                  "1/" + "7" * 40])
+_bad_text = st.one_of(
+    st.sampled_from(["0", "-1", "-1/2", "", "1/0", "nan", "1e3", "2.5",
+                     "1/2/3", "0x10", "10**3", "-" + "9" * 5000]),
+    st.integers(-2, 10**6).map(str), st.text(max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flags=st.fixed_dictionaries({
+           "gas-limit": _good_rational, "target": _good_rational,
+           "base-fee": _good_rational,
+           "denominator": st.integers(1, 10**6).map(str)}),
+       bad=st.sampled_from([None, "gas-limit", "target", "base-fee",
+                            "denominator"]),
+       bad_value=_bad_text)
+def test_simulate_flags_end_in_an_answer_or_exit_2(flags, bad, bad_value):
+    if bad is not None:
+        flags[bad] = bad_value
+    answers_or_exits_2(["simulate", "--blocks", "3", "--format", "json",
+                        *(f"--{name}={value}"
+                          for name, value in flags.items())])
+
+
+@settings(max_examples=40, deadline=None)
+@given(flags=st.fixed_dictionaries({
+           "mech": st.sampled_from(["current", "shapley", "tpm"]),
+           "prop": st.sampled_from(["efficiency", "bundling"]),
+           "seed": st.integers(-10**30, 10**30).map(str)}),
+       bad=st.sampled_from([None, "mech", "prop", "seed"]),
+       bad_value=st.text(max_size=6).filter(lambda text: text != "all"),
+       budget=st.integers(-1, 3))
+def test_check_flags_end_in_an_answer_or_exit_2(flags, bad, bad_value,
+                                                budget):
+    if bad is not None:
+        flags[bad] = bad_value
+    answers_or_exits_2(["check", "--format", "json", f"--budget={budget}",
+                        *(f"--{name}={value}"
+                          for name, value in flags.items())],
+                       answers=(0, 1))

@@ -10,6 +10,7 @@ from paragas import (BlockError, DuplicateId, EmptyKeySet, MalformedDocument,
                      WeightTable, concatenate, format_rational,
                      make_transaction, parse_block, render_block, similar,
                      to_rational)
+from paragas.core import ECHO_CHARS, echo
 from paragas.properties import instance_from_dict
 
 
@@ -151,6 +152,17 @@ def test_non_string_ids_and_keys_are_refused_not_coerced(entry):
 def test_parse_block_rejects_duplicate_json_keys(doc):
     with pytest.raises(MalformedDocument, match="duplicate"):
         parse_block(doc)
+
+
+def test_echo_keeps_a_short_repr_and_cuts_a_long_one():
+    for value in ("k1", [1, None], "x" * (ECHO_CHARS - 2), ("a", "b")):
+        assert echo(value) == repr(value)
+    long = "y" * 10**6
+    assert echo(long) == \
+        f"{repr(long)[:ECHO_CHARS]}... ({10**6 + 2} characters)"
+    with pytest.raises(MalformedDocument) as err:
+        make_transaction("z" * 10**5, 1, [1])
+    assert len(str(err.value)) < 2 * ECHO_CHARS + 100
 
 
 def test_transaction_identity_is_the_id():

@@ -9,7 +9,7 @@ from paragas import (PricingEnv, SchedulerConfig, TxSet, WeightTable,
                      make_transaction, scheduler, subset_value_table)
 from paragas.core import Transaction
 from paragas.gcm import MECHANISMS, TxNotInSet, _block_prices
-from paragas.scheduler import InstanceTooLarge, SubsetValueTable
+from paragas.scheduler import InstanceTooLarge, SubsetValueTable, ValueOracle
 from paragas.sampling import SamplerConfig, rng_for, sample_txset
 
 from exhaustive import (banzhaf, marginal_sums, shapley_permutation,
@@ -219,6 +219,41 @@ def test_subset_table_is_kept_with_the_block(monkeypatch):
     low_cap = PricingEnv(scheduler_cfg=SchedulerConfig(instance_cap=3))
     with pytest.raises(InstanceTooLarge):
         low_cap.gas(block, block.get("a"), "shapley")
+
+
+def test_a_fallback_fill_serves_every_later_exact_answer(monkeypatch):
+    # A whole-block search that runs out of budget takes the subset table
+    # through the scheduler's table door, which keeps it with v(T): a
+    # Shapley price and an oracle lookup of the block then read that one
+    # fill, and the lookup neither schedules greedily nor searches.
+    fills = []
+    fill, search = scheduler._fill, scheduler._search
+
+    def counting_fill(sc, threads):
+        fills.append(threads)
+        return fill(sc, threads)
+
+    def exhausted(*args, budget=None, **kwargs):
+        if budget is not None:
+            raise scheduler._OverBudget
+        return search(*args, **kwargs)
+
+    def fail(*_args, **_kwargs):
+        raise AssertionError("v(T) of a tabled block was computed again")
+
+    monkeypatch.setattr(scheduler, "_fill", counting_fill)
+    monkeypatch.setattr(scheduler, "_search", exhausted)
+    # Greedy takes 10 and the static bound is 8, so the block is open.
+    block = TxSet([tx("t0", 4, ["k2"]), tx("t1", 5, ["k1"]),
+                   tx("t2", 1, ["k1", "k2"]), tx("t3", 5, ["k0"])])
+    assert scheduler.optimal_makespan(block, N2) == 9
+    assert fills == [2]
+    assert env2().block_gas(block, block, "shapley") == 9  # efficiency
+    assert fills == [2]
+    monkeypatch.setattr(scheduler, "_greedy", fail)
+    monkeypatch.setattr(scheduler, "_search", fail)
+    assert ValueOracle(N2).value(block) == 9
+    assert fills == [2]
 
 
 def test_a_priced_block_forms_no_reference_cycle():
