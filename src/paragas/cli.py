@@ -57,6 +57,26 @@ def _int_at_least(low: int):
     return parse
 
 
+def _int(value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {echo(value)}")
+
+
+def _one_of(*choices: str) -> dict:
+    """``add_argument`` keywords for a flag taking one of ``choices``: the
+    usage lists them, and a refused value gets argparse's message with the
+    value cut by ``echo``."""
+    def parse(value: str) -> str:
+        if value not in choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {echo(value)} "
+                f"(choose from {', '.join(map(repr, choices))})")
+        return value
+    return {"choices": choices, "type": parse}
+
+
 def _threads(value: str):
     return None if value == "unbounded" else _int_at_least(2)(value)
 
@@ -314,13 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gas = sub.add_parser("gas", help="price a block")
     p_gas.add_argument("block", help="block JSON file")
-    p_gas.add_argument("--mech", default="current", choices=MECHANISMS,
+    p_gas.add_argument("--mech", default="current", **_one_of(*MECHANISMS),
                        metavar="MECH", help=", ".join(MECHANISMS))
     p_gas.add_argument("--threads", type=_threads, default=2,
                        metavar="N|unbounded")
     p_gas.add_argument("--weights", default=None,
                        help="JSON weights file (overrides block weights)")
-    p_gas.add_argument("--format", default="json", choices=("json", "text"))
+    p_gas.add_argument("--format", default="json", **_one_of("json", "text"))
     p_gas.set_defaults(fn=cmd_gas)
 
     p_sched = sub.add_parser("schedule", help="schedule a block")
@@ -328,26 +348,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--threads", type=_threads, default=2,
                          metavar="N|unbounded")
     p_sched.add_argument("--mode", default="exact",
-                         choices=("exact", "greedy"))
+                         **_one_of("exact", "greedy"))
     p_sched.add_argument("--format", default="json",
-                         choices=("json", "text", "svg"))
+                         **_one_of("json", "text", "svg"))
     p_sched.set_defaults(fn=cmd_schedule)
 
     p_check = sub.add_parser(
         "check", help="run counterexample fixtures and the property matrix")
     p_check.add_argument("--mech", default="all")
     p_check.add_argument("--prop", default="all")
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=_int, default=0)
     p_check.add_argument("--budget", type=_int_at_least(1), default=2000)
     p_check.add_argument("--format", default="text",
-                         choices=("json", "text"))
+                         **_one_of("json", "text"))
     p_check.set_defaults(fn=cmd_check)
 
     p_sim = sub.add_parser("simulate", help="run a fee-market simulation")
-    p_sim.add_argument("--mech", default="current", choices=MECHANISMS,
+    p_sim.add_argument("--mech", default="current", **_one_of(*MECHANISMS),
                        metavar="MECH", help=", ".join(MECHANISMS))
     p_sim.add_argument("--blocks", type=_int_at_least(1), default=100)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--seed", type=_int, default=None)
     p_sim.add_argument("--workload", default=None,
                        help="workload config JSON file")
     p_sim.add_argument("--gas-limit", default="20")
@@ -356,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--denominator", type=_int_at_least(1), default=8)
     p_sim.add_argument("--threads", type=_threads, default=2,
                        metavar="N|unbounded")
-    p_sim.add_argument("--format", default="csv", choices=("csv", "json"))
+    p_sim.add_argument("--format", default="csv", **_one_of("csv", "json"))
     p_sim.set_defaults(fn=cmd_simulate)
     return parser
 

@@ -7,7 +7,8 @@ Every JSON format of the package is read here and only here: block files,
 the transaction objects that blocks and property witnesses share, and key
 weights; ``json_object`` is the one check of an object's fields, which the
 workload and witness readers use too.  Every error message that echoes an
-input shows it through ``echo``, so a huge input gives a short message.
+input shows it through ``echo`` (a repr) or ``cut`` (a rational as
+``format_rational`` prints it), so a huge input gives a short message.
 """
 from __future__ import annotations
 
@@ -46,14 +47,18 @@ class NonPositiveWeight(BlockError):
 ECHO_CHARS = 80  # the longest repr of an input that an error echoes whole
 
 
-def echo(value) -> str:
-    """``repr(value)`` for an error message that echoes an input: cut to
+def cut(text: str) -> str:
+    """``text`` for an error message that echoes an input: cut to
     ``ECHO_CHARS`` characters, with its full length appended, when longer,
     so a huge input gives a short error line."""
-    text = repr(value)
     if len(text) <= ECHO_CHARS:
         return text
     return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
+
+
+def echo(value) -> str:
+    """``repr(value)``, cut as ``cut`` cuts it."""
+    return cut(repr(value))
 
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -122,7 +127,8 @@ def make_transaction(tx_id: str, time: int | str | Fraction,
     t = to_rational(time)
     if t <= 0:
         raise NonPositiveTime(
-            f"transaction {echo(tx_id)}: time must be > 0, got {t}")
+            f"transaction {echo(tx_id)}: time must be > 0, "
+            f"got {cut(format_rational(t))}")
     key_set = frozenset(keys)
     if not key_set:
         raise EmptyKeySet(
@@ -261,14 +267,16 @@ class WeightTable:
         object.__setattr__(self, "default_weight",
                            to_rational(self.default_weight))
         if self.default_weight <= 0:
-            raise NonPositiveWeight(f"default weight must be > 0, "
-                                    f"got {self.default_weight}")
+            raise NonPositiveWeight(
+                f"default weight must be > 0, "
+                f"got {cut(format_rational(self.default_weight))}")
         for key, w in self.weights.items():
             w = to_rational(w)
             self.weights[key] = w
             if w <= 0:
                 raise NonPositiveWeight(
-                    f"weight of {echo(key)} must be > 0, got {w}")
+                    f"weight of {echo(key)} must be > 0, "
+                    f"got {cut(format_rational(w))}")
 
     def get(self, key: str) -> Fraction:
         return self.weights.get(key, self.default_weight)

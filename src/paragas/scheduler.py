@@ -17,31 +17,37 @@ makespan; the bound "remaining work over n threads" may therefore be rounded
 up.
 
 Lattice bounds.  ``subset_value_table`` fills v(S) by increasing bit mask, so
-v(S - i) is known for every i in S when S comes up.  With b(S) the one
-lower bound of this module, ``_Scaled.bound``, at clock 0 on S (longest
-time, heaviest key, ceil(work / n)),
+v(S - i) is known for every i in S when S comes up.  In the same loop it
+fills two more tables, from i the lowest transaction of S and N(i) the
+transactions sharing a key with it:
+  work[S] = work[S - i] + t_i
+  clique[S] = max(clique[S - i], t_i + clique[S & N(i)])
+clique[S] is the heaviest total time of transactions of S that pairwise
+share a key.  They run one after another in every valid schedule, so with
+b(S) = max(clique[S], ceil(work[S] / n)) (clique[S] alone when threads are
+unbounded), which is at least the longest time and the heaviest key of S,
   lb = max(max_i v(S - i), b(S))
   ub = min_i v(S - i) + t_i
 bracket v(S): removing a transaction from a valid schedule leaves it valid
 (so v(S - i) <= v(S)), and appending i after an optimal schedule of S - i,
 when nothing else runs, is valid (so v(S) <= v(S - i) + t_i).  The fill
-scans the i in S and stops as soon as the max and the min over the i seen
-so far meet: the partial lb and ub bound v(S) as the full ones do, so
-v(S) >= lb >= ub >= v(S) and v(S) = ub, with no search.  A scan that ends
-with lb < ub has read every i, so the rules below see the same bounds as a
-full scan.  Otherwise the greedy schedule of S may lower ub (it is valid,
-so its makespan is at least v(S)), and if lb < ub still, the search starts
-from ub as its incumbent and stops as soon as the incumbent reaches lb,
-since no schedule can beat a lower bound.  The search also prunes a node
-at clock c with transactions R not yet started when c + v(R) reaches the
-incumbent: R is a proper subset of S, so v(R) is already in the table, and
-R's transactions all start at c or later.
+seeds lb with b(S), scans the i in S and stops as soon as the max and the
+min over the i seen so far meet: the partial lb and ub bound v(S) as the
+full ones do, so v(S) >= lb >= ub >= v(S) and v(S) = ub, with no search.
+A scan that ends with lb < ub has read every i, so the rules below see the
+same bounds as a full scan.  Otherwise the greedy schedule of S may lower
+ub (it is valid, so its makespan is at least v(S)), and if lb < ub still,
+the search starts from ub as its incumbent and stops as soon as the
+incumbent reaches lb, since no schedule can beat a lower bound.  The
+search also prunes a node at clock c with transactions R not yet started
+when c + v(R) reaches the incumbent: R is a proper subset of S, so v(R) is
+already in the table, and R's transactions all start at c or later.
 
-Components.  With unbounded threads, a subset S that splits into parts C
-and S - C sharing no key runs each part on its own, so
-v(S) = max(v(C), v(S - C)), both already in the table.  C is grown from
-the lowest transaction of S along shared keys; the rule is tried before
-any other bound.
+Components.  When the thread cap cannot bind, with unbounded threads or
+with |S| <= n, a subset S that splits into parts C and S - C sharing no
+key runs each part on its own, so v(S) = max(v(C), v(S - C)), both
+already in the table.  C is grown from the lowest transaction of S along
+shared keys; the rule is tried after the scan, before greedy.
 
 Whole blocks.  Each block is compiled once: ``compiled`` keeps its integer
 form, with the greedy list order, in the TxSet.  Only this module decides
@@ -59,19 +65,22 @@ returns the kept table or calls ``subset_value_table``, the one caller of
 ``_fill``, which fills it and keeps it with v(T); the gcm module prices
 from this door, and the lattice fallback below goes through it too.
 ``optimal_makespan``, ``optimal_schedule`` and ``ValueOracle.value`` first
-compare the greedy makespan with b(T), the bound that every node of the
-search applies too; when they meet, v(T) is the greedy makespan and the
-starts are the greedy ones.  These are the starts the search would
-return: it only replaces the greedy starts with a strictly shorter
-schedule, and none exists.  Only a block the bounds leave open goes to the
-oracle's memo and to the search, which runs on the whole block with a
-budget of max(2^|T|, 256) nodes.  If it runs out, they take the table from
-the door, so a later Shapley price or oracle lookup of the block reads it
-without a second fill, and read v(T) from it; for the starts, the search
-reruns from the greedy incumbent with floor v(T) and the table's
-c + v(R) cut.  It returns the same schedule as the plain search: both
-return the first optimal schedule in depth-first order, and while the
-incumbent is above v(T) no bound cuts the branch that leads to it.
+compare the greedy makespan with the static bound ``_Scaled.bound`` at
+clock 0 on T (longest time, heaviest key, ceil(work / n)), the bound that
+every node of the search applies too; when they meet, v(T) is the greedy
+makespan and the starts are the greedy ones.  These are the starts the
+search would return: it only replaces the greedy starts with a strictly
+shorter schedule, and none exists.  Only a block the bounds leave open
+goes to the oracle's memo and to the search, which runs on the whole block
+with a budget of max(2^|T|, 256) nodes; the oracle hands its gate and
+bounds to ``optimal_makespan``, so neither runs twice.  If the search
+runs out, they take the table from the door, so a later Shapley price or oracle
+lookup of the block reads it without a second fill, and read v(T) from it;
+for the starts, the search reruns from the greedy incumbent with floor
+v(T) and the table's c + v(R) cut.  It returns the same schedule as the
+plain search: both return the first optimal schedule in depth-first order,
+and while the incumbent is above v(T) no bound cuts the branch that leads
+to it.
 """
 from __future__ import annotations
 
@@ -79,7 +88,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import lcm
+from math import inf, lcm
 
 from .core import TxSet
 
@@ -151,8 +160,14 @@ def validate_schedule(schedule: Schedule, txs: TxSet,
     if violations:
         return ValidityReport(False, tuple(violations))
 
-    starts = [schedule.starts[tx.tx_id] for tx in txs]
-    ends = [s + tx.time for tx, s in zip(txs, starts)]
+    given = [schedule.starts[tx.tx_id] for tx in txs]
+    # Exact integers: every start and time over their common denominator.
+    ratios = [x.as_integer_ratio()
+              for x in given + [tx.time for tx in txs]]
+    scale = lcm(*[den for _num, den in ratios])
+    whole = [num * (scale // den) for num, den in ratios]
+    starts = whole[:len(given)]
+    ends = [s + t for s, t in zip(starts, whole[len(given):])]
     # Conflict exclusion: shared keys require disjoint open intervals.  Per
     # key, sweep its holders by start; the holders still open at a start
     # overlap the one starting there.
@@ -175,12 +190,12 @@ def validate_schedule(schedule: Schedule, txs: TxSet,
     # are those started by then less those already ended.
     if cfg.threads is not None:
         by_start, by_end = sorted(starts), sorted(ends)
-        for start in starts:
+        for start, shown in zip(starts, given):
             running = (bisect_right(by_start, start)
                        - bisect_right(by_end, start))
             if running > cfg.threads:
                 violations.append(Violation(
-                    "concurrency-exceeded", f"t={start} running={running}"))
+                    "concurrency-exceeded", f"t={shown} running={running}"))
                 break
     return ValidityReport(not violations, tuple(violations))
 
@@ -286,11 +301,8 @@ def _greedy(sc: _Scaled, threads: int | None, pending: list) -> tuple[int, dict]
     times, masks = sc.times, sc.masks
     starts: dict[int, int] = {}
     running: list[tuple[int, int]] = []  # (end, i)
-    clock = span = 0
+    clock = span = locked = 0  # locked: the keys of `running`, as a mask
     while pending:
-        locked = 0
-        for _end, i in running:
-            locked |= masks[i]
         room = len(pending) if threads is None else threads - len(running)
         waiting = []
         for i in pending:
@@ -307,7 +319,12 @@ def _greedy(sc: _Scaled, threads: int | None, pending: list) -> tuple[int, dict]
         pending = waiting
         if pending:
             clock = min(running)[0]
-            running = [(end, i) for end, i in running if end > clock]
+            still, locked = [], 0
+            for end, i in running:
+                if end > clock:
+                    still.append((end, i))
+                    locked |= masks[i]
+            running = still
     return span, starts
 
 
@@ -355,28 +372,29 @@ def _search(sc: _Scaled, threads: int | None, items, best: int, floor: int,
                 raise _OverBudget
         if lower_bound(clock, running, remaining) >= found[0]:
             return
-        locked = 0
-        for _end, i in running:
+        locked, first = 0, inf  # first: the earliest end of `running`
+        for end, i in running:
             locked |= masks[i]
+            if end < first:
+                first = end
         room = len(remaining) if threads is None else threads - len(running)
         # The sets of eligible transactions that can start together at
-        # `clock` (with their key masks and transaction bits), in
-        # depth-first include-first order over `remaining`.
-        batches = [((), 0, 0)]
+        # `clock` (with their key masks, transaction bits, the latest end
+        # so far and the next clock once they start), in depth-first
+        # include-first order over `remaining`.
+        batches = [((), 0, 0, reached, first)]
         for i in reversed(remaining):
             m = masks[i]
             if not m & locked:
-                bit = 1 << i
-                batches = [((i,) + batch, m | used, bit | bits)
-                           for batch, used, bits in batches
+                bit, end = 1 << i, clock + times[i]
+                batches = [((i,) + batch, m | used, bit | bits,
+                            end if end > reach else reach,
+                            end if end < soonest else soonest)
+                           for batch, used, bits, reach, soonest in batches
                            if not m & used and len(batch) < room] + batches
-        for batch, _used, bits in batches:
+        for batch, _used, bits, new_reached, next_clock in batches:
             if not batch and not running:
                 continue  # nothing runs: dead branch
-            new_reached = reached
-            for i in batch:
-                if clock + times[i] > new_reached:
-                    new_reached = clock + times[i]
             if new_reached >= found[0]:
                 continue  # every completion ends at or after new_reached
             new_starts = ((batch, clock), starts)
@@ -386,11 +404,10 @@ def _search(sc: _Scaled, threads: int | None, items, best: int, floor: int,
                 if new_reached <= floor:
                     raise _Reached
                 continue
-            new_running = running + [(clock + times[i], i) for i in batch]
-            next_clock = min(e for e, _ in new_running)
             if below is not None and \
                     next_clock + below[left ^ bits] >= found[0]:
                 continue
+            new_running = running + [(clock + times[i], i) for i in batch]
             recurse(next_clock,
                     [(e, i) for e, i in new_running if e > next_clock],
                     [i for i in remaining if not bits >> i & 1],
@@ -411,11 +428,17 @@ def _bounds(sc: _Scaled, threads: int | None) -> tuple[int, int, dict]:
             *_greedy(sc, threads, sc.order))
 
 
-def _optimal(txs: TxSet, cfg: SchedulerConfig) -> tuple[_Scaled, int, dict]:
+def _optimal(txs: TxSet, cfg: SchedulerConfig,
+             bounded: tuple | None = None) -> tuple[_Scaled, int, dict]:
     """The compiled block, its least scaled makespan and starts achieving
-    it: the greedy schedule unless the search beats it."""
-    sc, n, threads = _admit(txs, cfg), len(txs), cfg.threads
-    floor, incumbent, starts = _bounds(sc, threads)
+    it: the greedy schedule unless the search beats it.  ``bounded``, if
+    given, is the compiled block followed by its ``_bounds``, for a caller
+    that has passed the gate and computed them already."""
+    if bounded is None:
+        sc = _admit(txs, cfg)
+        bounded = (sc, *_bounds(sc, cfg.threads))
+    sc, floor, incumbent, starts = bounded
+    n, threads = len(txs), cfg.threads
     if incumbent == floor:
         return sc, incumbent, starts
     items = range(n)
@@ -440,9 +463,11 @@ def optimal_schedule(txs: TxSet, cfg: SchedulerConfig) -> Schedule:
     return sc.schedule(txs, starts)
 
 
-def optimal_makespan(txs: TxSet, cfg: SchedulerConfig) -> Fraction:
-    """v(T): the exact minimum makespan over all valid schedules."""
-    sc, best, _starts = _optimal(txs, cfg)
+def optimal_makespan(txs: TxSet, cfg: SchedulerConfig,
+                     bounded: tuple | None = None) -> Fraction:
+    """v(T): the exact minimum makespan over all valid schedules; see
+    ``_optimal`` for ``bounded``."""
+    sc, best, _starts = _optimal(txs, cfg, bounded)
     return Fraction(best, sc.scale)
 
 
@@ -466,14 +491,15 @@ class ValueOracle:
         got = sc.known.get(threads)
         if got is not None:
             return got
-        floor, span, _starts = _bounds(sc, threads)
+        bounds = _bounds(sc, threads)
+        floor, span, _starts = bounds
         if span == floor:
             got = Fraction(span, sc.scale)
         else:
             key = txs.shape_key()
             got = self._memo.get(key)
             if got is None:
-                got = optimal_makespan(txs, self.cfg)
+                got = optimal_makespan(txs, self.cfg, (sc, *bounds))
                 if len(self._memo) >= MEMO_CAP:
                     self._memo.clear()
                 self._memo[key] = got
@@ -512,7 +538,7 @@ def subset_value_table(txs: TxSet, cfg: SchedulerConfig) -> SubsetValueTable:
     v(S - i) is known before v(S), and kept with the compiled block; see
     the module docstring."""
     sc = _admit(txs, cfg)
-    v = _fill(sc, cfg.threads)
+    v = _fill(sc, cfg.threads)[0]
     sc.known[cfg.threads] = Fraction(v[-1], sc.scale)
     table = sc.tables[cfg.threads] = SubsetValueTable(
         tuple(tx.tx_id for tx in txs), sc.scale, v)
@@ -526,18 +552,29 @@ def kept_table(txs: TxSet, cfg: SchedulerConfig) -> SubsetValueTable:
     return table if table is not None else subset_value_table(txs, cfg)
 
 
-def _fill(sc: _Scaled, threads: int | None) -> list:
-    """Scaled v(S) for every mask S, in mask order; see the module
-    docstring."""
+def _fill(sc: _Scaled, threads: int | None) -> tuple[list, list, list]:
+    """Scaled v(S), the work of S and the weight of the heaviest clique of
+    S's conflict graph, for every mask S, each a list in mask order; see
+    the module docstring."""
     times, masks, n = sc.times, sc.masks, len(sc.times)
     total, order = sum(times), sc.order
-    lower_bound = sc.bound(threads)
     # neighbours[i]: the transactions that share a key with i, as a mask.
     neighbours = [sum(1 << j for j in range(n)
                       if j != i and masks[i] & masks[j]) for i in range(n)]
-    v = [0] * (1 << n)
+    v, work, clique = [0] * (1 << n), [0] * (1 << n), [0] * (1 << n)
     for mask in range(1, 1 << n):
-        lb, ub, rest = 0, total, mask
+        # The lowest transaction i of S is in the heaviest clique of S or
+        # not: with it, the rest of the clique lies in S & N(i).
+        low = mask & -mask
+        i = low.bit_length() - 1
+        work[mask] = w = work[mask ^ low] + times[i]
+        lb = clique[mask & neighbours[i]] + times[i]
+        if clique[mask ^ low] > lb:
+            lb = clique[mask ^ low]
+        clique[mask] = lb
+        if threads is not None and w > lb * threads:
+            lb = -(-w // threads)
+        ub, rest = total, mask
         while rest and lb < ub:
             bit = rest & -rest
             rest ^= bit
@@ -548,19 +585,17 @@ def _fill(sc: _Scaled, threads: int | None) -> list:
             top = without + times[i]
             if top < ub:
                 ub = top
-        if lb < ub and threads is None:
+        if lb < ub and (threads is None or mask.bit_count() <= threads):
             part = _component(mask, neighbours)
             if part != mask:
                 lb = ub = max(v[part], v[mask ^ part])
         if lb < ub:
             items = [i for i in order if mask >> i & 1]
-            lb = max(lb, lower_bound(0, (), items))
-            if lb < ub:
-                ub = min(ub, _greedy(sc, threads, items)[0])
+            ub = min(ub, _greedy(sc, threads, items)[0])
             if lb < ub:
                 ub = _search(sc, threads, sorted(items), ub, lb, v)[0]
         v[mask] = ub
-    return v
+    return v, work, clique
 
 
 def _component(mask: int, neighbours: list) -> int:

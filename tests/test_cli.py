@@ -562,12 +562,36 @@ def test_simulate_json_stays_whole_when_a_block_fails(tmp_path, capsys,
     (["simulate", "--workload"], {"time_range": list(range(10**5))}),
     (["simulate", "--gas-limit", "9" * 10**5, "--workload"], {}),
     (["simulate", "--blocks", "x" * 10**5, "--workload"], {}),
-], ids=["keys", "time", "block-fields", "time-range", "gas-limit", "blocks"])
+    (["gas"], {"transactions": [{"id": "a", "time": "-" + "9" * 4000,
+                                 "keys": ["k"]}]}),
+    (["gas"], {"transactions": [{"id": "a", "time": 1, "keys": ["k"]}],
+               "weights": {"k": "-" + "9" * 4000}}),
+    (["gas"], {"transactions": [{"id": "a", "time": 1, "keys": ["k"]}],
+               "default_weight": "-" + "9" * 4000}),
+], ids=["keys", "time", "block-fields", "time-range", "gas-limit", "blocks",
+        "negative-time", "negative-weight", "negative-default-weight"])
 def test_an_oversized_input_gives_a_short_error_line(tmp_path, capsys, argv,
                                                      doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     code, out = run(capsys, [*argv, str(path)])
+    assert code == 2
+    assert one_error_line(out.err)
+    error = next(line for line in out.err.splitlines() if "error:" in line)
+    assert len(error.encode()) < 1000
+    assert " characters)" in error
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--seed"], ["check", "--format"], ["simulate", "--seed"],
+    ["simulate", "--mech"], ["simulate", "--format"], ["gas", "--mech"],
+    ["gas", "--format"], ["schedule", "--mode"], ["schedule", "--format"],
+], ids="".join)
+def test_an_oversized_flag_value_gives_a_short_error_line(capsys, argv):
+    # argparse's own messages for an int or a choice echo the whole value.
+    block = SRC.parent / "blocks" / "four_tx_block.json"
+    positional = [str(block)] if argv[0] in ("gas", "schedule") else []
+    code, out = run(capsys, [*argv, "x" * 10**5, *positional])
     assert code == 2
     assert one_error_line(out.err)
     error = next(line for line in out.err.splitlines() if "error:" in line)

@@ -95,7 +95,11 @@ def scheduled_blocks(draw):
     cfg = SchedulerConfig(threads=draw(st.sampled_from((2, 3, None))))
     if draw(st.booleans()):
         return greedy_schedule(block, cfg), block, cfg
-    starts = {t.tx_id: Fraction(draw(st.integers(0, 12)), den)
+    # Starts draw their own denominator, so that the validator's common
+    # denominator is that of the starts and the times together.
+    start_den = draw(st.integers(1, 7))
+    starts = {t.tx_id: Fraction(draw(st.integers(0, 12 * start_den)),
+                                start_den)
               for t in block if draw(st.integers(0, 20))}
     if draw(st.integers(0, 20)) == 0:
         starts["zz"] = Fraction(0)
@@ -108,6 +112,17 @@ def test_validator_agrees_with_the_pairwise_reference(case):
     schedule, block, cfg = case
     assert validate_schedule(schedule, block, cfg) == \
         quadratic_validate_schedule(schedule, block, cfg)
+
+
+def test_concurrency_detail_prints_the_start_as_given():
+    block = TxSet([tx("a", 1, ["k1"]), tx("b", "1/2", ["k2"]),
+                   tx("c", 2, ["k3"])])
+    starts = {"a": Fraction(1), "b": Fraction(3, 2), "c": Fraction(1, 3)}
+    report = validate_schedule(Schedule(block, starts), block, N2)
+    assert report.violations == (
+        scheduler.Violation("concurrency-exceeded", "t=3/2 running=3"),)
+    assert report == quadratic_validate_schedule(Schedule(block, starts),
+                                                 block, N2)
 
 
 def test_optimal_schedule_small_cases():
@@ -311,6 +326,27 @@ def test_value_oracle_answers_a_repeated_block_without_bounds_or_search(
     # The instance cap still holds for a block whose value is known.
     with pytest.raises(InstanceTooLarge):
         ValueOracle(SchedulerConfig(threads=2, instance_cap=4)).value(block)
+
+
+def test_value_oracle_schedules_greedily_and_checks_the_cap_once_per_miss(
+        monkeypatch):
+    calls = {"_greedy": 0, "_admit": 0}
+
+    def counting(name):
+        original = getattr(scheduler, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(scheduler, name, counting(name))
+    oracle = ValueOracle(N2)
+    for i, block in enumerate((open_block("abcde"), open_block("abcde", 2))):
+        assert oracle.value(block) == 6 * (i + 1)
+        assert len(oracle._memo) == i + 1
+        assert calls == {"_greedy": i + 1, "_admit": i + 1}
 
 
 def test_value_oracle_answers_a_block_the_bounds_settle_without_the_memo():
