@@ -192,17 +192,13 @@ class WorkloadConfig:
             raise MalformedDocument(f"bad workload fields: {', '.join(bad)}")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadConfig":
-        kwargs = dict(json_object(data, "workload",
+    def from_json(cls, text: str) -> "WorkloadConfig":
+        kwargs = dict(json_object(load_json(text), "workload",
                                   [f.name for f in fields(cls)]))
         for name in ("time_range", "price_range"):
             if isinstance(kwargs.get(name), list):
                 kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WorkloadConfig":
-        return cls.from_dict(load_json(text))
 
 
 def workload(cfg: WorkloadConfig, blocks: int, mech: str, env: PricingEnv):

@@ -13,6 +13,7 @@ from .scheduler import Schedule, makespan
 MAX_TICKS = 50  # time-axis ticks in an SVG, whatever the makespan
 PX_PER_UNIT = 48  # SVG scale up to a makespan of MAX_TICKS; longer ones shrink
 ROW_HEIGHT = 28
+TEXT_WIDTH = 60  # columns of a text chart's time axis
 
 _PALETTE = ("#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
             "#edc948", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac")
@@ -30,28 +31,28 @@ def _rows(schedule: Schedule) -> list[tuple[str, list]]:
     return rows
 
 
-def gantt_text(schedule: Schedule, width: int = 60) -> str:
+def gantt_text(schedule: Schedule) -> str:
     span = makespan(schedule)
     if span == 0:
         return "(empty schedule)"
-    scale = Fraction(width) / span
+    scale = Fraction(TEXT_WIDTH) / span
     label_w = max([len(k) for k in schedule.txs.all_keys()] + [4])
     lines = [f"makespan = {span} ({format_approx(span)})"]
     for key, segs in _rows(schedule):
-        row = [" "] * width
+        row = [" "] * TEXT_WIDTH
         for tx_id, start, end in segs:
             a = int(start * scale)
             b = max(a + 1, int(end * scale))
             mark = (tx_id[-1] if tx_id else "#")
-            for i in range(a, min(b, width)):
+            for i in range(a, min(b, TEXT_WIDTH)):
                 row[i] = mark
-            label_at = min(a, width - len(tx_id))
+            label_at = min(a, TEXT_WIDTH - len(tx_id))
             for j, ch in enumerate(tx_id[:max(0, b - a)]):
-                if 0 <= label_at + j < width:
+                if 0 <= label_at + j < TEXT_WIDTH:
                     row[label_at + j] = ch
         lines.append(f"{key:<{label_w}} |{''.join(row)}|")
-    axis = " " * label_w + "  0" + " " * (width - len(str(span)) - 1) + str(span)
-    lines.append(axis)
+    lines.append(" " * label_w + "  0"
+                 + " " * (TEXT_WIDTH - len(str(span)) - 1) + str(span))
     return "\n".join(lines)
 
 

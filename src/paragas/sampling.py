@@ -42,9 +42,11 @@ def draw_keys(rng: random.Random, pool: int, count: int) -> frozenset[str]:
     return frozenset([f"k{i}" for i in rng.sample(range(1, pool + 1), count)])
 
 
-def sample_keys(rng: random.Random, cfg: SamplerConfig,
-                max_keys: int = 3) -> frozenset[str]:
-    count = rng.randint(1, min(max_keys, cfg.key_pool))
+MAX_KEYS = 3  # keys of a sampled transaction, at most
+
+
+def sample_keys(rng: random.Random, cfg: SamplerConfig) -> frozenset[str]:
+    count = rng.randint(1, min(MAX_KEYS, cfg.key_pool))
     return draw_keys(rng, cfg.key_pool, count)
 
 

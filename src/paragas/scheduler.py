@@ -17,19 +17,25 @@ makespan; the bound "remaining work over n threads" may therefore be rounded
 up.
 
 Lattice bounds.  ``subset_value_table`` fills v(S) by increasing bit mask, so
-v(S - i) is known for every i in S when S comes up.  In the same loop it
-fills two more tables, from i the lowest transaction of S and N(i) the
-transactions sharing a key with it:
-  work[S] = work[S - i] + t_i
-  clique[S] = max(clique[S - i], t_i + clique[S & N(i)])
-clique[S] is the heaviest total time of transactions of S that pairwise
-share a key.  They run one after another in every valid schedule, so with
-b(S) = max(clique[S], ceil(work[S] / n)) (clique[S] alone when threads are
-unbounded), which is at least the longest time and the heaviest key of S,
+v(S - i) and v(S & N(i)) are known for every i in S when S comes up, with
+N(i) the transactions sharing a key with i.  No transaction of S & N(i)
+overlaps i in a valid schedule of S: cut i's interval out and shift what
+ends after it left by t_i, and a valid schedule of S & N(i) remains (a
+shifted start still follows every end before i's start, and at any instant
+it runs a subset of what ran before), so v(S) >= t_i + v(S & N(i)).  The
+fill takes i the lowest transaction of S and keeps work[S] = work[S - i] +
+t_i.  With b(S) = max(t_i + v(S & N(i)), ceil(work[S] / n)) (the first
+term alone when threads are unbounded),
   lb = max(max_i v(S - i), b(S))
   ub = min_i v(S - i) + t_i
-bracket v(S): removing a transaction from a valid schedule leaves it valid
-(so v(S - i) <= v(S)), and appending i after an optimal schedule of S - i,
+bracket v(S).  Transactions of S that pairwise share a key run one after
+another, so the weight of the heaviest such set, clique(S), bounds v(S);
+it is at least the longest time and the heaviest key of S.  The lb above
+is never below it: clique(S) = max(clique(S - i), t_i + clique(S & N(i))),
+as the heaviest set holds i or not, and by induction v >= clique on S - i
+and on S & N(i), where the scan reads v(S - i) first.  The bracket holds:
+removing a transaction from a valid schedule leaves it valid (so
+v(S - i) <= v(S)), and appending i after an optimal schedule of S - i,
 when nothing else runs, is valid (so v(S) <= v(S - i) + t_i).  The fill
 seeds lb with b(S), scans the i in S and stops as soon as the max and the
 min over the i seen so far meet: the partial lb and ub bound v(S) as the
@@ -538,7 +544,7 @@ def subset_value_table(txs: TxSet, cfg: SchedulerConfig) -> SubsetValueTable:
     v(S - i) is known before v(S), and kept with the compiled block; see
     the module docstring."""
     sc = _admit(txs, cfg)
-    v = _fill(sc, cfg.threads)[0]
+    v = _fill(sc, cfg.threads)
     sc.known[cfg.threads] = Fraction(v[-1], sc.scale)
     table = sc.tables[cfg.threads] = SubsetValueTable(
         tuple(tx.tx_id for tx in txs), sc.scale, v)
@@ -552,26 +558,21 @@ def kept_table(txs: TxSet, cfg: SchedulerConfig) -> SubsetValueTable:
     return table if table is not None else subset_value_table(txs, cfg)
 
 
-def _fill(sc: _Scaled, threads: int | None) -> tuple[list, list, list]:
-    """Scaled v(S), the work of S and the weight of the heaviest clique of
-    S's conflict graph, for every mask S, each a list in mask order; see
-    the module docstring."""
+def _fill(sc: _Scaled, threads: int | None) -> list:
+    """Scaled v(S) for every mask S, a list in mask order; see the module
+    docstring."""
     times, masks, n = sc.times, sc.masks, len(sc.times)
     total, order = sum(times), sc.order
     # neighbours[i]: the transactions that share a key with i, as a mask.
     neighbours = [sum(1 << j for j in range(n)
                       if j != i and masks[i] & masks[j]) for i in range(n)]
-    v, work, clique = [0] * (1 << n), [0] * (1 << n), [0] * (1 << n)
+    v, work = [0] * (1 << n), [0] * (1 << n)
     for mask in range(1, 1 << n):
-        # The lowest transaction i of S is in the heaviest clique of S or
-        # not: with it, the rest of the clique lies in S & N(i).
+        # Seed lb with the shift bound of the lowest transaction i of S.
         low = mask & -mask
         i = low.bit_length() - 1
         work[mask] = w = work[mask ^ low] + times[i]
-        lb = clique[mask & neighbours[i]] + times[i]
-        if clique[mask ^ low] > lb:
-            lb = clique[mask ^ low]
-        clique[mask] = lb
+        lb = v[mask & neighbours[i]] + times[i]
         if threads is not None and w > lb * threads:
             lb = -(-w // threads)
         ub, rest = total, mask
@@ -595,7 +596,7 @@ def _fill(sc: _Scaled, threads: int | None) -> tuple[list, list, list]:
             if lb < ub:
                 ub = _search(sc, threads, sorted(items), ub, lb, v)[0]
         v[mask] = ub
-    return v, work, clique
+    return v
 
 
 def _component(mask: int, neighbours: list) -> int:

@@ -9,9 +9,12 @@ enumeration of ``exhaustive.py`` takes seconds on 7 transactions, so it
 checks blocks of at most 6.  Blocks with wide-range integer times
 (500-1000 or 21000-100000, as real gas spreads) over a dense or a near
 conflict-free key pool are checked apart: these are the blocks whose
-subsets the bounds leave open most often.  The fill's work and clique
-tables are checked against sums and brute-force cliques, and the bound
-b(S) they give against v(S) and the static bound it replaces.  The fills
+subsets the bounds leave open most often.  The shift bound v(S) >= t_i +
+v(S & N(i)) is checked on the filled table and on exhaustive makespans,
+and the lower bound the fill reaches from it before greedy against
+brute-force cliques and the static bound.  Every multiset block of 1-4
+transactions over a small domain of times and key sets is checked
+exhaustively, tables and prices, by ``bounded.py``.  The fills
 of the benchmark's price blocks and of ``blocks/*.json`` are pinned to
 their greedy runs, searches and search nodes.
 """
@@ -31,6 +34,7 @@ from paragas import (DuplicateId, PricingEnv, SchedulerConfig, TxSet,
 from paragas.core import parse_block
 from paragas.sampling import SamplerConfig, rng_for, sample_txset
 
+from bounded import check_bounded
 from exhaustive import exhaustive_makespan, marginal_sums, table_value
 
 threads_st = st.sampled_from((2, 3, None))
@@ -154,21 +158,62 @@ def heaviest_cliques(block):
             for mask in range(1 << n)]
 
 
+def conflict_neighbours(block):
+    """For every transaction i, the transactions sharing a key with it, as
+    a mask."""
+    masks = scheduler.compiled(block).masks
+    return [sum(1 << j for j, other in enumerate(masks)
+                if j != i and mine & other) for i, mine in enumerate(masks)]
+
+
+def shift_bound_holds(v, times, neighbours):
+    """The first mask S and transaction i of S with v[S] < t_i +
+    v[S & N(i)], or None when the shift bound holds throughout ``v``."""
+    for mask in range(1, len(v)):
+        for i, t in enumerate(times):
+            if mask >> i & 1 and v[mask] < t + v[mask & neighbours[i]]:
+                return mask, i
+    return None
+
+
 @settings(max_examples=60, deadline=None)
 @given(block=st.one_of(blocks(), wide_blocks(max_txs=8)), threads=threads_st)
-def test_the_clique_bound_is_sound_and_no_weaker_than_the_static_one(
+def test_the_shift_bound_is_sound_and_no_weaker_than_the_clique_one(
         block, threads):
     sc = scheduler.compiled(block)
-    v, work, clique = scheduler._fill(sc, threads)
-    assert clique == heaviest_cliques(block)
+    n = len(block)
+    neighbours = conflict_neighbours(block)
+    v = scheduler._fill(sc, threads)
+    assert shift_bound_holds(v, sc.times, neighbours) is None
+    if n <= 6:
+        exact = [exhaustive_makespan(TxSet(tx for i, tx in enumerate(block)
+                                           if mask >> i & 1), threads)
+                 for mask in range(1 << n)]
+        times = [tx.time for tx in block]
+        assert shift_bound_holds(exact, times, neighbours) is None
+    # The fill seeds lb with the shift bound of the lowest transaction and
+    # the area bound.  That seed alone may fall below a clique without the
+    # lowest transaction, but the scan reads v(S - low) first, so greedy
+    # and the search see at least max(seed, v(S - low)).
+    cliques = heaviest_cliques(block)
     static = sc.bound(threads)
-    for mask in range(1, 1 << len(block)):
-        items = [i for i in range(len(block)) if mask >> i & 1]
-        assert work[mask] == sum(sc.times[i] for i in items)
-        b = clique[mask]
+    for mask in range(1, 1 << n):
+        items = [i for i in range(n) if mask >> i & 1]
+        low = items[0]
+        seed = sc.times[low] + v[mask & neighbours[low]]
         if threads is not None:
-            b = max(b, -(-work[mask] // threads))
-        assert v[mask] >= b >= static(0, (), items), mask
+            seed = max(seed, -(-sum(sc.times[i] for i in items) // threads))
+        lb = max(seed, v[mask ^ 1 << low])
+        assert v[mask] >= lb >= cliques[mask], mask
+        assert lb >= static(0, (), items), mask
+
+
+def test_every_small_block_is_tabled_and_priced_exactly():
+    # Every multiset block of 1-4 transactions over times {1, 2} and key
+    # sets {a}, {b}, {a, b}, {c}, at 2, 3 and unbounded threads.
+    report = check_bounded()
+    assert report.mismatches == ()
+    assert (report.pairs, report.entries) == (1482, 19200)
 
 
 def test_a_conflict_triangle_fills_without_greedy_or_search():
@@ -291,8 +336,9 @@ def test_with_txs_and_subset_build_the_same_set(block, data):
 # key pool, time denominator, draw), drawn from sampler seed 0, and the
 # greedy runs, searches and search nodes their subset tables take, with the
 # table's v(T) (scaled).  The counts are those of the fill with b(S) from
-# the work and clique tables and the component rule at |S| <= n; a change
-# to the bounds may lower a count but must not raise one.
+# the shift bound t_i + v(S & N(i)) and ceil(work / n), and the component
+# rule at |S| <= n; a change to the bounds may lower a count but must not
+# raise one.
 PRICE_FILLS = {
     (9, 2, 4, 1, 5): ((7, 0, 0), 20),
     (9, None, 10, 2, 8): ((66, 24, 121), 21),
@@ -306,7 +352,7 @@ BLOCK_FILLS = {
     ("banzhaf_three_tx.json", 2): ((0, 0, 0), 2),
     ("banzhaf_three_tx.json", 3): ((0, 0, 0), 2),
     ("banzhaf_three_tx.json", None): ((0, 0, 0), 2),
-    ("four_tx_block.json", 2): ((2, 1, 1), 8),
+    ("four_tx_block.json", 2): ((1, 0, 0), 8),
     ("four_tx_block.json", 3): ((0, 0, 0), 7),
     ("four_tx_block.json", None): ((0, 0, 0), 7),
 }
