@@ -65,7 +65,10 @@ _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
 def to_rational(value: int | str | Fraction) -> Fraction:
-    """Parse an exact rational given as an int, Fraction or "p/q" string."""
+    """Parse an exact rational given as an int, Fraction or "p/q" string.
+    A Fraction is returned as it is: it is immutable."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise MalformedDocument(f"not a rational: {echo(value)}")
     if isinstance(value, (int, Fraction)):

@@ -14,8 +14,16 @@ For mechanisms whose gas depends on the rest of the block, the declared gas
 of a bid is an estimate (the transaction priced alone in an otherwise empty
 block) and the real gas is recomputed once on the final included set.  No
 fixed point is attempted; the per-transaction gap between estimate and final
-gas is kept in ``BlockResult.per_tx_gap``, which no command prints.  The
-estimate never understates the final total, so the gas limit still binds.
+gas is ``BlockResult.per_tx_gap``, which no command prints.  The estimate
+never understates the final total, so the gas limit still binds.
+
+``build_block`` packs on exact integers: the base fee and the bids' prices
+are scaled to one common denominator, the gas limit and the declared gases
+to another, so the eligibility filter, the price sort and the packing loop
+compare and subtract ints, and ``gas_used`` is one integer sum over the lcm
+of the final gases' denominators.  A result keeps its chosen bids and their
+final gases; ``per_tx_fee`` and ``per_tx_gap`` are computed from them when
+read, since no command prints them.
 
 ``simulate`` is a generator: it yields each block as it is built and keeps
 none of them, so the memory of a run does not grow with its length.
@@ -25,6 +33,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 
 from .core import (MalformedDocument, Transaction, TxSet, echo,
                    format_rational, json_object, load_json, to_rational)
@@ -40,16 +50,17 @@ class Bid:
     declared_gas: Fraction
 
     def __post_init__(self):
-        if self.max_price_per_gas < 0:
+        # A rational's sign is its numerator's: compare ints, not Fractions.
+        if self.max_price_per_gas.numerator < 0:
             raise ValueError("max_price_per_gas must be >= 0")
-        if self.declared_gas <= 0:
+        if self.declared_gas.numerator <= 0:
             raise ValueError("declared_gas must be > 0")
 
 
 def make_bid(tx: Transaction, max_price_per_gas, mech: str,
              env: PricingEnv) -> Bid:
     """Bid with the declared gas set to the single-transaction estimate."""
-    declared = env.gas(TxSet([tx]), tx, mech)
+    declared = env.gas(TxSet._sorted((tx,)), tx, mech)
     return Bid(tx, to_rational(max_price_per_gas), declared)
 
 
@@ -105,36 +116,61 @@ def base_fee_update(state: BaseFeeState, gas_used: Fraction) -> BaseFeeState:
 
 @dataclass(frozen=True)
 class BlockResult:
+    """One built block.  Fees and gaps are not kept: ``per_tx_fee`` and
+    ``per_tx_gap`` compute them from the final gases when read."""
     included: TxSet
-    per_tx_gas: dict      # id -> final gas
-    per_tx_fee: dict      # id -> gas * base_fee
-    per_tx_gap: dict      # id -> declared_gas - final gas
+    chosen: tuple         # the included bids, in the order they were packed
+    per_tx_gas: dict      # id -> final gas, in the same order
     gas_used: Fraction
     makespan: Fraction
     base_fee: Fraction
 
+    @property
+    def per_tx_fee(self) -> dict:
+        """id -> gas * base_fee."""
+        return {tx_id: g * self.base_fee
+                for tx_id, g in self.per_tx_gas.items()}
+
+    @property
+    def per_tx_gap(self) -> dict:
+        """id -> declared_gas - final gas."""
+        return {b.tx.tx_id: b.declared_gas - self.per_tx_gas[b.tx.tx_id]
+                for b in self.chosen}
+
+
+def _over_lcm(values) -> tuple[list[int], int]:
+    """The numerators of the rationals ``values`` over the lcm of their
+    denominators, and that lcm."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
+
 
 def build_block(mempool: list, gas_limit: Fraction, mech: str,
                 env: PricingEnv, state: BaseFeeState) -> BlockResult:
-    if gas_limit <= 0:
+    if gas_limit.numerator <= 0:
         raise ValueError("gas_limit must be > 0")
-    eligible = [b for b in mempool if b.max_price_per_gas >= state.base_fee]
+    # The base fee and the prices over one denominator, the gas limit and
+    # the declared gases over another: filter, sort and packing read ints.
+    (floor, *prices), _ = _over_lcm(
+        [state.base_fee, *[b.max_price_per_gas for b in mempool]])
+    eligible = [(p, b) for p, b in zip(prices, mempool) if p >= floor]
     # Highest price first, ties by id: two stable sorts, no negated keys.
-    eligible.sort(key=lambda b: b.tx.tx_id)
-    eligible.sort(key=lambda b: b.max_price_per_gas, reverse=True)
-    chosen: list[Bid] = []
-    declared_total = Fraction(0)
-    for bid in eligible:
-        if declared_total + bid.declared_gas <= gas_limit:
+    eligible.sort(key=lambda pb: pb[1].tx.tx_id)
+    eligible.sort(key=itemgetter(0), reverse=True)
+    (room, *gases), _ = _over_lcm(
+        [gas_limit, *[b.declared_gas for _, b in eligible]])
+    chosen = []
+    for gas, (_, bid) in zip(gases, eligible):
+        if gas <= room:
             chosen.append(bid)
-            declared_total += bid.declared_gas
+            room -= gas
     included = TxSet(b.tx for b in chosen)
     gas_map = {b.tx.tx_id: env.gas(included, b.tx, mech) for b in chosen}
-    fees = {tx_id: g * state.base_fee for tx_id, g in gas_map.items()}
-    gaps = {b.tx.tx_id: b.declared_gas - gas_map[b.tx.tx_id] for b in chosen}
-    gas_used = sum(gas_map.values(), Fraction(0))
-    return BlockResult(included, gas_map, fees, gaps, gas_used,
-                       env.value(included), state.base_fee)
+    used, den = _over_lcm(gas_map.values())
+    return BlockResult(included, tuple(chosen), gas_map,
+                       Fraction(sum(used), den), env.value(included),
+                       state.base_fee)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,15 @@ by folding the finished table's integer values.  The marginal-sum sweep
 sums the marginals of the table by coalition size.  The
 schedule validator compares every pair of transactions and counts the
 running ones at every start, where the library sweeps sorted intervals.
+The block packer compares and adds plain Fractions and orders bids by one
+sort on (-price, id), where the library packs on integers over common
+denominators with two stable sorts.
 """
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
-from paragas import TxSet
+from paragas import TxSet, gas
 from paragas.scheduler import ValidityReport, Violation
 
 
@@ -181,3 +184,23 @@ def quadratic_validate_schedule(schedule, txs: TxSet, cfg) -> ValidityReport:
                     "concurrency-exceeded", f"t={start} running={running}"))
                 break
     return ValidityReport(not violations, tuple(violations))
+
+
+def fraction_block(mempool, gas_limit, mech, env, state) -> tuple:
+    """``build_block`` on plain Fractions: the chosen bids in packing
+    order, and per transaction the final gas, the fee and the gap between
+    declared and final gas, and the block's gas used."""
+    eligible = sorted((b for b in mempool
+                       if b.max_price_per_gas >= state.base_fee),
+                      key=lambda b: (-b.max_price_per_gas, b.tx.tx_id))
+    chosen, total = [], Fraction(0)
+    for bid in eligible:
+        if total + bid.declared_gas <= gas_limit:
+            chosen.append(bid)
+            total += bid.declared_gas
+    included = TxSet(b.tx for b in chosen)
+    gases = {b.tx.tx_id: gas(included, b.tx, mech, env) for b in chosen}
+    fees = {tx_id: g * state.base_fee for tx_id, g in gases.items()}
+    gaps = {b.tx.tx_id: b.declared_gas - gases[b.tx.tx_id] for b in chosen}
+    return (tuple(chosen), gases, fees, gaps,
+            sum(gases.values(), Fraction(0)))

@@ -296,12 +296,15 @@ def test_block_outputs_are_byte_identical_to_checked_in_output(
     # tests/data/open_block.json (a block the bounds leave open), and
     # `gas --mech current|weighted_area|banzhaf|constant` on all three, at
     # threads 2, 3 and unbounded; and `simulate` for 60 blocks, as CSV for
-    # every mechanism and as JSON for current and shapley.  Keyed by argv, with the block path relative to the
-    # repository root.
+    # every mechanism and as JSON for current and shapley, for 200 blocks
+    # with the market bench's flags, and for 60 blocks under the rational
+    # flags --gas-limit 7/3 --target 5/4 --base-fee 1/3 for current,
+    # weighted_area, xsm and shapley.  Keyed by argv, with the block path
+    # relative to the repository root.
     root = Path(__file__).resolve().parents[1]
     expected = json.loads((root / "tests" / "data" /
                            "cli_blocks.json").read_text(encoding="utf-8"))
-    assert len(expected) == 104
+    assert len(expected) == 110
     monkeypatch.chdir(root)
     for argv, want in expected.items():
         code, out = run(capsys, argv.split())

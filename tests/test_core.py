@@ -21,8 +21,13 @@ def test_to_rational_accepts_ints_fractions_and_strings():
     assert to_rational(Fraction(1, 3)) == Fraction(1, 3)
 
 
+def test_to_rational_hands_a_fraction_back_uncopied():
+    third = Fraction(1, 3)
+    assert to_rational(third) is third
+
+
 @pytest.mark.parametrize("bad", ["1.5", "a/b", "1/0", "", "1/-2", True, 2.5,
-                                 None, [1]])
+                                 None, [1], False])
 def test_to_rational_rejects_junk(bad):
     with pytest.raises(MalformedDocument):
         to_rational(bad)

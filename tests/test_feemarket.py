@@ -11,6 +11,8 @@ from paragas.cli import CSV_COLUMNS, _row
 from paragas.core import MalformedDocument
 from paragas.feemarket import BaseFeeBelowFloor
 
+from exhaustive import fraction_block
+
 N2 = SchedulerConfig(threads=2)
 
 
@@ -24,10 +26,13 @@ def env2():
 
 def test_bid_validation():
     t = tx("a", 1, ["k1"])
-    with pytest.raises(ValueError):
-        Bid(t, Fraction(-1), Fraction(1))
-    with pytest.raises(ValueError):
-        Bid(t, Fraction(1), Fraction(0))
+    assert Bid(t, Fraction(0), Fraction(1)).max_price_per_gas == 0
+    for price, declared in ((Fraction(-1), Fraction(1)),
+                            (Fraction(-1, 3), Fraction(1)),
+                            (Fraction(1), Fraction(0)),
+                            (Fraction(1), Fraction(-2, 7))):
+        with pytest.raises(ValueError):
+            Bid(t, price, declared)
 
 
 def test_declared_gas_is_singleton_estimate():
@@ -258,3 +263,43 @@ def test_equal_prices_are_taken_in_id_order():
             for i, price in (("c", 2), ("a", 2), ("d", 3), ("b", 2))]
     result = build_block(bids, Fraction(6), "current", e, state)
     assert result.included.ids == {"d", "a", "b"}
+
+
+# Prices k/d with d from 1 to 7, zero and ties included; base fees off the
+# grid, such as 1/3; gas limits over 5, 7, 11 or 13 too, coprime to the
+# denominators of the declared gases (times k/1 to k/3, xsm's a third).
+_prices = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
+    st.builds(Fraction, st.integers(0, 12), st.integers(1, 7)))
+_bid_specs = st.lists(
+    st.tuples(st.builds(Fraction, st.integers(1, 6), st.integers(1, 3)),
+              st.frozensets(st.sampled_from("abcd"), min_size=1, max_size=2),
+              _prices),
+    max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs=_bid_specs,
+       mech=st.sampled_from(["current", "weighted_area", "xsm", "shapley"]),
+       base_fee=st.one_of(st.just(Fraction(1, 3)),
+                          st.builds(Fraction, st.integers(1, 30),
+                                    st.integers(1, 9))),
+       gas_limit=st.builds(Fraction, st.integers(1, 40),
+                           st.sampled_from([1, 2, 3, 5, 7, 11, 13])),
+       threads=st.sampled_from([2, 3]), data=st.data())
+def test_integer_packing_matches_a_fraction_packer(specs, mech, base_fee,
+                                                   gas_limit, threads, data):
+    e = PricingEnv(scheduler_cfg=SchedulerConfig(threads=threads))
+    state = BaseFeeState(base_fee=base_fee)
+    bids = [make_bid(tx(f"t{i}", time, keys), price, mech, e)
+            for i, (time, keys, price) in enumerate(specs)]
+    mempool = data.draw(st.permutations(bids))  # not in id order
+    result = build_block(mempool, gas_limit, mech, e, state)
+    chosen, gases, fees, gaps, used = fraction_block(mempool, gas_limit,
+                                                     mech, e, state)
+    assert result.chosen == chosen
+    assert result.included.ids == {b.tx.tx_id for b in chosen}
+    assert list(result.per_tx_gas.items()) == list(gases.items())
+    assert list(result.per_tx_fee.items()) == list(fees.items())
+    assert list(result.per_tx_gap.items()) == list(gaps.items())
+    assert result.gas_used == used
