@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 
 from .core import (BlockError, WeightTable, echo, format_approx,
-                   format_rational, load_json, parse_block, to_rational,
+                   format_rational, load_json, parse_block, rational_of,
                    weights_from_json)
 from .feemarket import (BaseFeeBelowFloor, BaseFeeState, BlockResult,
                         WorkloadConfig, simulate, workload)
@@ -81,8 +81,16 @@ def _threads(value: str):
     return None if value == "unbounded" else _int_at_least(2)(value)
 
 
+# The ``add_argument`` keywords of the block argument, --mech and --threads,
+# each declared here once for every subcommand that takes it.
+_BLOCK = {"help": "block JSON file"}
+_MECH = {"default": "current", **_one_of(*MECHANISMS), "metavar": "MECH",
+         "help": ", ".join(MECHANISMS)}
+_THREADS = {"type": _threads, "default": 2, "metavar": "N|unbounded"}
+
+
 def _positive_rational(flag: str, value: str) -> Fraction:
-    q = to_rational(value)
+    q = rational_of(flag, value)
     if q <= 0:
         raise UsageError(f"{flag} must be > 0, got {echo(value)}")
     return q
@@ -333,20 +341,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_gas = sub.add_parser("gas", help="price a block")
-    p_gas.add_argument("block", help="block JSON file")
-    p_gas.add_argument("--mech", default="current", **_one_of(*MECHANISMS),
-                       metavar="MECH", help=", ".join(MECHANISMS))
-    p_gas.add_argument("--threads", type=_threads, default=2,
-                       metavar="N|unbounded")
+    p_gas.add_argument("block", **_BLOCK)
+    p_gas.add_argument("--mech", **_MECH)
+    p_gas.add_argument("--threads", **_THREADS)
     p_gas.add_argument("--weights", default=None,
                        help="JSON weights file (overrides block weights)")
     p_gas.add_argument("--format", default="json", **_one_of("json", "text"))
     p_gas.set_defaults(fn=cmd_gas)
 
     p_sched = sub.add_parser("schedule", help="schedule a block")
-    p_sched.add_argument("block", help="block JSON file")
-    p_sched.add_argument("--threads", type=_threads, default=2,
-                         metavar="N|unbounded")
+    p_sched.add_argument("block", **_BLOCK)
+    p_sched.add_argument("--threads", **_THREADS)
     p_sched.add_argument("--mode", default="exact",
                          **_one_of("exact", "greedy"))
     p_sched.add_argument("--format", default="json",
@@ -364,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=cmd_check)
 
     p_sim = sub.add_parser("simulate", help="run a fee-market simulation")
-    p_sim.add_argument("--mech", default="current", **_one_of(*MECHANISMS),
-                       metavar="MECH", help=", ".join(MECHANISMS))
+    p_sim.add_argument("--mech", **_MECH)
     p_sim.add_argument("--blocks", type=_int_at_least(1), default=100)
     p_sim.add_argument("--seed", type=_int, default=None)
     p_sim.add_argument("--workload", default=None,
@@ -374,8 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--target", default="10")
     p_sim.add_argument("--base-fee", default="1")
     p_sim.add_argument("--denominator", type=_int_at_least(1), default=8)
-    p_sim.add_argument("--threads", type=_threads, default=2,
-                       metavar="N|unbounded")
+    p_sim.add_argument("--threads", **_THREADS)
     p_sim.add_argument("--format", default="csv", **_one_of("csv", "json"))
     p_sim.set_defaults(fn=cmd_simulate)
     return parser

@@ -16,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
@@ -83,6 +84,25 @@ def to_rational(value: int | str | Fraction) -> Fraction:
     raise MalformedDocument(f"not a rational: {echo(value)}")
 
 
+def rational_of(what: str, value) -> Fraction:
+    """``to_rational(value)``, where a value that is no rational is refused
+    with a message naming ``what``: the field or flag it was given in."""
+    try:
+        return to_rational(value)
+    except MalformedDocument:
+        raise MalformedDocument(
+            f"{what} is not a rational: {echo(value)}") from None
+
+
+def over_lcm(values) -> tuple[list[int], int]:
+    """The numerators of the rationals ``values`` over the lcm of their
+    denominators, in order, and that lcm: the one way the package turns
+    rationals into integers that keep their order, sums and ratios."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
+
+
 def format_rational(value: Fraction) -> str:
     """Render a rational as "p" or "p/q" (never a decimal)."""
     return str(value)
@@ -112,9 +132,6 @@ class Transaction:
     time: Fraction
     keys: frozenset[str]
 
-    def tuple_key(self) -> tuple[Fraction, tuple[str, ...]]:
-        return (self.time, tuple(sorted(self.keys)))
-
 
 def make_transaction(tx_id: str, time: int | str | Fraction,
                      keys: Iterable[str]) -> Transaction:
@@ -127,7 +144,7 @@ def make_transaction(tx_id: str, time: int | str | Fraction,
     if not all(isinstance(k, str) for k in keys):
         raise MalformedDocument(f"transaction {echo(tx_id)}: keys must be "
                                 f"strings, got {echo(list(keys))}")
-    t = to_rational(time)
+    t = rational_of(f"transaction {echo(tx_id)}: time", time)
     if t <= 0:
         raise NonPositiveTime(
             f"transaction {echo(tx_id)}: time must be > 0, "
@@ -192,8 +209,8 @@ class TxSet:
 
     def __contains__(self, item) -> bool:
         if isinstance(item, Transaction):
-            return self._by_id.get(item.tx_id) is item or \
-                self._by_id.get(item.tx_id) == item
+            held = self._by_id.get(item.tx_id)
+            return held is item or held == item
         return item in self._by_id
 
     def __eq__(self, other) -> bool:
@@ -218,9 +235,6 @@ class TxSet:
 
     def with_txs(self, *extra: Transaction) -> "TxSet":
         return TxSet._sorted(tuple(sorted(self.txs + extra, key=_tx_id)))
-
-    def union(self, other: "TxSet") -> "TxSet":
-        return self.with_txs(*other.txs)
 
     def subset(self, ids: Iterable[str]) -> "TxSet":
         wanted = set(ids)
@@ -255,7 +269,8 @@ class TxSet:
     def shape_key(self) -> tuple:
         """Canonical multiset of (time, keys) tuples; ids do not matter for
         scheduling, so this is the memoization key for makespans."""
-        return tuple(sorted(tx.tuple_key() for tx in self.txs))
+        return tuple(sorted((tx.time, tuple(sorted(tx.keys)))
+                            for tx in self.txs))
 
 
 @dataclass(frozen=True)
@@ -268,13 +283,13 @@ class WeightTable:
     def __post_init__(self):
         object.__setattr__(self, "weights", dict(self.weights or {}))
         object.__setattr__(self, "default_weight",
-                           to_rational(self.default_weight))
+                           rational_of("default_weight", self.default_weight))
         if self.default_weight <= 0:
             raise NonPositiveWeight(
                 f"default weight must be > 0, "
                 f"got {cut(format_rational(self.default_weight))}")
         for key, w in self.weights.items():
-            w = to_rational(w)
+            w = rational_of(f"weight of {echo(key)}", w)
             self.weights[key] = w
             if w <= 0:
                 raise NonPositiveWeight(

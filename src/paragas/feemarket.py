@@ -17,13 +17,13 @@ fixed point is attempted; the per-transaction gap between estimate and final
 gas is ``BlockResult.per_tx_gap``, which no command prints.  The estimate
 never understates the final total, so the gas limit still binds.
 
-``build_block`` packs on exact integers: the base fee and the bids' prices
-are scaled to one common denominator, the gas limit and the declared gases
-to another, so the eligibility filter, the price sort and the packing loop
-compare and subtract ints, and ``gas_used`` is one integer sum over the lcm
-of the final gases' denominators.  A result keeps its chosen bids and their
-final gases; ``per_tx_fee`` and ``per_tx_gap`` are computed from them when
-read, since no command prints them.
+``build_block`` packs on exact integers: ``core.over_lcm`` scales the base
+fee and the bids' prices to one common denominator, the gas limit and the
+declared gases to another, so the eligibility filter, the price sort and
+the packing loop compare and subtract ints, and ``gas_used`` is one integer
+sum over the lcm of the final gases' denominators.  A result keeps its
+chosen bids and their final gases; ``per_tx_fee`` and ``per_tx_gap`` are
+computed from them when read, since no command prints them.
 
 ``simulate`` is a generator: it yields each block as it is built and keeps
 none of them, so the memory of a run does not grow with its length.
@@ -33,11 +33,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter
 
 from .core import (MalformedDocument, Transaction, TxSet, echo,
-                   format_rational, json_object, load_json, to_rational)
+                   format_rational, json_object, load_json, over_lcm,
+                   to_rational)
 from .gcm import PricingEnv
 from .sampling import draw_keys, rng_for
 from .scheduler import InstanceTooLarge
@@ -138,27 +138,19 @@ class BlockResult:
                 for b in self.chosen}
 
 
-def _over_lcm(values) -> tuple[list[int], int]:
-    """The numerators of the rationals ``values`` over the lcm of their
-    denominators, and that lcm."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = lcm(*[d for _, d in ratios])
-    return [n * (den // d) for n, d in ratios], den
-
-
 def build_block(mempool: list, gas_limit: Fraction, mech: str,
                 env: PricingEnv, state: BaseFeeState) -> BlockResult:
     if gas_limit.numerator <= 0:
         raise ValueError("gas_limit must be > 0")
     # The base fee and the prices over one denominator, the gas limit and
     # the declared gases over another: filter, sort and packing read ints.
-    (floor, *prices), _ = _over_lcm(
+    (floor, *prices), _ = over_lcm(
         [state.base_fee, *[b.max_price_per_gas for b in mempool]])
     eligible = [(p, b) for p, b in zip(prices, mempool) if p >= floor]
     # Highest price first, ties by id: two stable sorts, no negated keys.
     eligible.sort(key=lambda pb: pb[1].tx.tx_id)
     eligible.sort(key=itemgetter(0), reverse=True)
-    (room, *gases), _ = _over_lcm(
+    (room, *gases), _ = over_lcm(
         [gas_limit, *[b.declared_gas for _, b in eligible]])
     chosen = []
     for gas, (_, bid) in zip(gases, eligible):
@@ -167,7 +159,7 @@ def build_block(mempool: list, gas_limit: Fraction, mech: str,
             room -= gas
     included = TxSet(b.tx for b in chosen)
     gas_map = {b.tx.tx_id: env.gas(included, b.tx, mech) for b in chosen}
-    used, den = _over_lcm(gas_map.values())
+    used, den = over_lcm(gas_map.values())
     return BlockResult(included, tuple(chosen), gas_map,
                        Fraction(sum(used), den), env.value(included),
                        state.base_fee)

@@ -47,10 +47,6 @@ class TxNotInSet(ValueError):
     pass
 
 
-class SubsetNotContained(ValueError):
-    pass
-
-
 class BlockPrices(NamedTuple):
     """Shapley and raw Banzhaf prices of every transaction of a block."""
     shapley: dict
@@ -180,11 +176,8 @@ class PricingEnv:
 
     def block_gas(self, block: TxSet, subset: TxSet,
                   mechanism: str) -> Fraction:
-        """Total gas of the transactions in ``subset`` within ``block``."""
-        for tx in subset:
-            if tx not in block:
-                raise SubsetNotContained(
-                    f"transaction {tx.tx_id!r} is not in the block")
+        """Total gas of the transactions in ``subset`` within ``block``;
+        ``gas`` refuses one that is not in the block."""
         return sum((gas(block, tx, mechanism, self) for tx in subset),
                    Fraction(0))
 

@@ -178,8 +178,9 @@ def _check_set_inclusion(mech: str, inst: SetInclusionInstance,
     for tx_id in sub_ids:
         if inst.subset.get(tx_id) != inst.superset.get(tx_id):
             raise MalformedInstance("subset transactions must match superset")
-    gas1 = env.block_gas(inst.base.union(inst.subset), inst.subset, mech)
-    gas2 = env.block_gas(inst.base.union(inst.superset), inst.superset, mech)
+    gas1 = env.block_gas(inst.base.with_txs(*inst.subset), inst.subset, mech)
+    gas2 = env.block_gas(inst.base.with_txs(*inst.superset), inst.superset,
+                         mech)
     return _at_most(inst, gas1, gas2, _details(gas1=gas1, gas2=gas2),
                     sub_ids != sup_ids)
 

@@ -8,7 +8,8 @@ schedules (every start coincides with time 0 or some completion); some optimal
 schedule is always active, so the search is complete.
 
 Integer scaling.  The schedulers multiply every time of a block by the least
-common multiple L of the time denominators and work on Python ints, turning
+common multiple L of the time denominators (``core.over_lcm``, which the
+validator and the fee market use too) and work on Python ints, turning
 start times back into rationals (start / L) only at the end.  This is exact:
 validity compares sums of times, which keep their order when every time is
 multiplied by L, so v(T) = v_L(T) / L.  In units of 1/L every start of an
@@ -94,9 +95,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import inf, lcm
+from math import inf
 
-from .core import TxSet
+from .core import TxSet, over_lcm
 
 
 class InstanceTooLarge(ValueError):
@@ -168,10 +169,7 @@ def validate_schedule(schedule: Schedule, txs: TxSet,
 
     given = [schedule.starts[tx.tx_id] for tx in txs]
     # Exact integers: every start and time over their common denominator.
-    ratios = [x.as_integer_ratio()
-              for x in given + [tx.time for tx in txs]]
-    scale = lcm(*[den for _num, den in ratios])
-    whole = [num * (scale // den) for num, den in ratios]
+    whole, _ = over_lcm(given + [tx.time for tx in txs])
     starts = whole[:len(given)]
     ends = [s + t for s, t in zip(starts, whole[len(given):])]
     # Conflict exclusion: shared keys require disjoint open intervals.  Per
@@ -218,9 +216,7 @@ class _Scaled:
                  "tables")
 
     def __init__(self, txs: TxSet):
-        ratios = [tx.time.as_integer_ratio() for tx in txs]
-        self.scale = scale = lcm(*[den for _num, den in ratios])
-        self.times = times = [num * (scale // den) for num, den in ratios]
+        self.times, self.scale = over_lcm(tx.time for tx in txs)
         index: dict[str, int] = {}
         self.keys, self.masks = [], []
         for tx in txs:
@@ -232,7 +228,7 @@ class _Scaled:
             self.masks.append(mask)
         self.nkeys = len(index)
         # A stable sort keeps ties in index order, also when reversed.
-        self.order = sorted(range(len(times)), key=times.__getitem__,
+        self.order = sorted(range(len(txs)), key=self.times.__getitem__,
                             reverse=True)
         self.known: dict[int | None, Fraction] = {}
         self.tables: dict[int | None, SubsetValueTable] = {}

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from paragas import Schedule, TxSet, cli, make_transaction, render_block
 from paragas.cli import main
+from paragas.core import echo
 from paragas.sampling import SamplerConfig, sample_txset
 from paragas.scheduler import InvalidSchedule
 
@@ -364,6 +365,37 @@ def test_simulate_bad_flags_are_usage_errors(capsys, flags):
     code, out = run(capsys, ["simulate", "--blocks", "2", *flags])
     assert code == 2
     assert one_error_line(out.err)
+
+
+_ONE_TX = [{"id": "t1", "time": 1, "keys": ["k"]}]
+
+
+@pytest.mark.parametrize("argv, doc, named, value", [
+    (["gas"], {"transactions": [{"id": "t1", "time": "abc", "keys": ["k"]}]},
+     "transaction 't1': time", "abc"),
+    (["gas"], {"transactions": _ONE_TX, "weights": {"k": "x/y"}},
+     "weight of 'k'", "x/y"),
+    (["gas"], {"transactions": _ONE_TX, "default_weight": "1/0"},
+     "default_weight", "1/0"),
+    (["simulate", "--gas-limit", "abc"], None, "--gas-limit", "abc"),
+    (["simulate", "--target", "abc"], None, "--target", "abc"),
+    (["simulate", "--base-fee", "abc"], None, "--base-fee", "abc"),
+    (["simulate", "--gas-limit", "9" * 10**5], None, "--gas-limit",
+     "9" * 10**5),
+], ids=["time", "weight", "default-weight", "gas-limit", "target",
+        "base-fee", "gas-limit-digits"])
+def test_a_refused_rational_names_where_it_came_from(tmp_path, capsys, argv,
+                                                     doc, named, value):
+    # A non-positive value in the same field is named already; a value that
+    # is no rational at all is named too, with its echo cut to a short line.
+    if doc is not None:
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps(doc))
+        argv = [*argv, str(path)]
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert out.err == f"error: {named} is not a rational: {echo(value)}\n"
+    assert len(out.err) < 200
 
 
 def test_weights_value_must_be_an_object(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import json
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paragas import (BlockError, DuplicateId, EmptyKeySet, MalformedDocument,
@@ -10,7 +12,7 @@ from paragas import (BlockError, DuplicateId, EmptyKeySet, MalformedDocument,
                      WeightTable, concatenate, format_rational,
                      make_transaction, parse_block, render_block, similar,
                      to_rational)
-from paragas.core import ECHO_CHARS, echo
+from paragas.core import ECHO_CHARS, echo, over_lcm
 from paragas.properties import instance_from_dict
 
 
@@ -31,6 +33,31 @@ def test_to_rational_hands_a_fraction_back_uncopied():
 def test_to_rational_rejects_junk(bad):
     with pytest.raises(MalformedDocument):
         to_rational(bad)
+
+
+_big = st.integers(-10**200, 10**200)
+_over_lcm_values = st.lists(st.one_of(
+    st.integers(-9, 9), _big,
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 5, 6, 7])),
+    st.builds(Fraction, _big, st.integers(1, 10**200))), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_over_lcm_values)
+@example(values=[])
+@example(values=[Fraction(-7, 3)])
+@example(values=[Fraction(1, 2), Fraction(2, 3), Fraction(-4, 5)])  # coprime
+@example(values=[Fraction(1, 6), 0, Fraction(-5, 6), Fraction(1, 6), -4])
+@example(values=[Fraction(10**199 + 1, 10**200 - 1), Fraction(-1, 10**199)])
+def test_over_lcm_puts_rationals_over_one_denominator(values):
+    nums, den = over_lcm(values)
+    # The lcm of the denominators, folded by gcd rather than math.lcm.
+    dens = [Fraction(v).denominator for v in values]
+    assert den == reduce(lambda a, b: a * b // gcd(a, b), dens, 1)
+    # Each numerator stands for the value at its own position.
+    assert len(nums) == len(values)
+    for n, v in zip(nums, values):
+        assert type(n) is int and Fraction(n, den) == v
 
 
 def test_format_rational_never_decimal():

@@ -279,8 +279,7 @@ def test_block_gas_empty_subset_and_containment():
     e = env2()
     block = TxSet([tx("a", 1, ["k1"])])
     assert e.block_gas(block, TxSet(), "current") == 0
-    from paragas.gcm import SubsetNotContained
-    with pytest.raises(SubsetNotContained):
+    with pytest.raises(TxNotInSet):
         e.block_gas(block, TxSet([tx("z", 1, ["k1"])]), "current")
 
 

@@ -35,6 +35,20 @@ def test_library_code_imports_only_the_stdlib_and_itself(path):
     assert not found, f"{path.name} imports {found}"
 
 
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "core.py"],
+                         ids=lambda p: p.name)
+def test_only_core_turns_rationals_into_integers(path):
+    # core.over_lcm is the one place that puts rationals over the lcm of
+    # their denominators; a second copy of that rule could drift from it.
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("as_integer_ratio", "lcm")
+             or isinstance(node, ast.ImportFrom)
+             and any(alias.name == "lcm" for alias in node.names)]
+    assert not found, f"{path.name}: as_integer_ratio or lcm on lines {found}"
+
+
 def test_the_package_declares_no_dependencies():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
     project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
