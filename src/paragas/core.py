@@ -364,6 +364,11 @@ def txs_from_json(objs) -> TxSet:
     return TxSet([tx_from_json(obj) for obj in objs])
 
 
+def txs_to_json(txs: TxSet) -> list:
+    """Inverse of txs_from_json."""
+    return [tx_to_json(tx) for tx in txs]
+
+
 def weights_from_json(doc: dict) -> WeightTable:
     """The key weights of a block or weights document: its ``weights``
     object of key -> rational and its ``default_weight``."""
@@ -385,7 +390,7 @@ def parse_block(document: str) -> tuple[TxSet, WeightTable]:
 
 def render_block(txs: TxSet, weights: WeightTable | None = None) -> str:
     """Inverse of parse_block (up to JSON formatting)."""
-    doc: dict = {"transactions": [tx_to_json(tx) for tx in txs]}
+    doc: dict = {"transactions": txs_to_json(txs)}
     if weights is not None:
         doc["weights"] = {k: format_rational(w)
                           for k, w in sorted(weights.weights.items())}

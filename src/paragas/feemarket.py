@@ -73,15 +73,13 @@ class BaseFeeState:
     base_fee: Fraction = Fraction(1)
     target_gas: Fraction = Fraction(10)
     adjustment_denominator: int = 8
-    min_base_fee: Fraction = Fraction(1, 1000)
+    min_base_fee = Fraction(1, 1000)  # a constant, not a field
 
     def __post_init__(self):
         if self.base_fee <= 0 or self.target_gas <= 0:
             raise ValueError("base_fee and target_gas must be > 0")
         if self.adjustment_denominator < 1:
             raise ValueError("adjustment_denominator must be >= 1")
-        if self.min_base_fee <= 0:
-            raise ValueError("min_base_fee must be > 0")
         if self.base_fee < self.min_base_fee:
             raise BaseFeeBelowFloor(
                 f"base fee {format_rational(self.base_fee)} is below the "

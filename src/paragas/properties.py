@@ -6,18 +6,27 @@ the expected-matrix data file (complexity notes) and has no runtime check.
 Satisfied cells are classified statistically ("no violation in N trials",
 with per-sample strictness); violated cells always carry a replayable
 witness.
+
+Each property's check validates its instance, raising MalformedInstance,
+and returns ``(lhs, rhs, values, strict)``: the two sides of the
+conclusion, the named rationals its details report and whether its premise
+is strict.  Scheduling monotonicity returns ``lhs`` None when its premise
+v1 < v2 fails.  ``check_property`` alone turns that into a CheckOutcome: it
+compares the sides (``lhs <= rhs``, or ``lhs == rhs`` for an ``exact``
+property), names the verdict, formats the details and builds a violation's
+witness with ``instance_to_dict`` (a TxSet through ``core.txs_to_json``).
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import Callable, Iterable, get_type_hints
 
 from .core import (Transaction, TxSet, concatenate, format_rational,
                    json_object, similar, tx_from_json, tx_to_json,
-                   txs_from_json)
+                   txs_from_json, txs_to_json)
 from .gcm import TABLE_MECHANISMS, PricingEnv
 from .sampling import (SamplerConfig, rng_for, sample_keys, sample_time,
                        sample_transaction, sample_txset)
@@ -85,19 +94,14 @@ class EstimationInstance:
     tx: Transaction
 
 
+_TO_JSON = {TxSet: txs_to_json, Transaction: tx_to_json}
 _FROM_JSON = {TxSet: txs_from_json, Transaction: tx_from_json}
-
-
-def _to_json(value) -> list | dict:
-    if isinstance(value, TxSet):
-        return [tx_to_json(tx) for tx in value]
-    return tx_to_json(value)
 
 
 def instance_to_dict(instance) -> dict:
     """A witness as JSON: a TxSet becomes a list, a Transaction an object."""
-    return {f.name: _to_json(getattr(instance, f.name))
-            for f in fields(instance)}
+    return {name: _TO_JSON[type(value)](value)
+            for name, value in vars(instance).items()}
 
 
 def instance_from_dict(prop: str, data: dict):
@@ -114,25 +118,6 @@ def instance_from_dict(prop: str, data: dict):
 # Property evaluation
 
 
-def _details(**values: Fraction) -> dict:
-    return {name: format_rational(v) for name, v in values.items()}
-
-
-def _at_most(inst, lhs: Fraction, rhs: Fraction, details: dict,
-             strict_premise: bool = True) -> CheckOutcome:
-    if lhs > rhs:
-        return CheckOutcome(VIOLATED, strict_premise, instance_to_dict(inst),
-                            details)
-    verdict = HOLDS_STRICT if lhs < rhs else HOLDS_EQUAL
-    return CheckOutcome(verdict, strict_premise, None, details)
-
-
-def _equal(inst, lhs: Fraction, rhs: Fraction, details: dict) -> CheckOutcome:
-    if lhs != rhs:
-        return CheckOutcome(VIOLATED, True, instance_to_dict(inst), details)
-    return CheckOutcome(HOLDS_EQUAL, True, None, details)
-
-
 def _require_outside(block: TxSet, txs, what: str) -> None:
     if any(tx.tx_id in block for tx in txs):
         raise MalformedInstance(f"{what} must not be in the base set")
@@ -140,36 +125,33 @@ def _require_outside(block: TxSet, txs, what: str) -> None:
 
 def _monotonicity(premise, rule: str):
     """P1-P3: gas(tx1) <= gas(tx2) whenever ``premise(tx1, tx2)`` holds."""
-    def check(mech: str, inst: PairInstance, env: PricingEnv) -> CheckOutcome:
+    def check(mech: str, inst: PairInstance, env: PricingEnv) -> tuple:
         tx1, tx2 = inst.tx1, inst.tx2
         _require_outside(inst.base, (tx1, tx2), "tx1/tx2")
         if not premise(tx1, tx2):
             raise MalformedInstance(rule)
         gas1 = env.gas(inst.base.with_txs(tx1), tx1, mech)
         gas2 = env.gas(inst.base.with_txs(tx2), tx2, mech)
-        return _at_most(inst, gas1, gas2, _details(gas1=gas1, gas2=gas2),
-                        not similar(tx1, tx2))
+        return gas1, gas2, dict(gas1=gas1, gas2=gas2), not similar(tx1, tx2)
     return check
 
 
 def _check_scheduling_monotonicity(mech: str, inst: PairInstance,
-                                   env: PricingEnv) -> CheckOutcome:
+                                   env: PricingEnv) -> tuple:
     tx1, tx2 = inst.tx1, inst.tx2
     _require_outside(inst.base, (tx1, tx2), "tx1/tx2")
     block1 = inst.base.with_txs(tx1)
     block2 = inst.base.with_txs(tx2)
     v1, v2 = env.value(block1), env.value(block2)
-    details = _details(v1=v1, v2=v2)
     if not v1 < v2:  # the premise is the strict v-inequality
-        return CheckOutcome(NOT_APPLICABLE, False, None, details)
+        return None, None, dict(v1=v1, v2=v2), False
     gas1 = env.gas(block1, tx1, mech)
     gas2 = env.gas(block2, tx2, mech)
-    return _at_most(inst, gas1, gas2,
-                    {**details, **_details(gas1=gas1, gas2=gas2)})
+    return gas1, gas2, dict(v1=v1, v2=v2, gas1=gas1, gas2=gas2), True
 
 
 def _check_set_inclusion(mech: str, inst: SetInclusionInstance,
-                         env: PricingEnv) -> CheckOutcome:
+                         env: PricingEnv) -> tuple:
     sub_ids, sup_ids = inst.subset.ids, inst.superset.ids
     if not sub_ids <= sup_ids:
         raise MalformedInstance("subset must be contained in superset")
@@ -181,12 +163,11 @@ def _check_set_inclusion(mech: str, inst: SetInclusionInstance,
     gas1 = env.block_gas(inst.base.with_txs(*inst.subset), inst.subset, mech)
     gas2 = env.block_gas(inst.base.with_txs(*inst.superset), inst.superset,
                          mech)
-    return _at_most(inst, gas1, gas2, _details(gas1=gas1, gas2=gas2),
-                    sub_ids != sup_ids)
+    return gas1, gas2, dict(gas1=gas1, gas2=gas2), sub_ids != sup_ids
 
 
 def _check_bundling(mech: str, inst: BundlingInstance,
-                    env: PricingEnv) -> CheckOutcome:
+                    env: PricingEnv) -> tuple:
     tx1, tx2, tx3 = inst.tx1, inst.tx2, inst.bundled
     _require_outside(inst.base, (tx1, tx2, tx3), "tx1/tx2/bundled")
     if tx3.time != tx1.time + tx2.time or tx3.keys != tx1.keys | tx2.keys:
@@ -194,24 +175,23 @@ def _check_bundling(mech: str, inst: BundlingInstance,
     split_block = inst.base.with_txs(tx1, tx2)
     split = env.gas(split_block, tx1, mech) + env.gas(split_block, tx2, mech)
     bundled = env.gas(inst.base.with_txs(tx3), tx3, mech)
-    return _at_most(inst, split, bundled,
-                    _details(split=split, bundled=bundled))
+    return split, bundled, dict(split=split, bundled=bundled), True
 
 
 def _check_efficiency(mech: str, inst: EfficiencyInstance,
-                      env: PricingEnv) -> CheckOutcome:
+                      env: PricingEnv) -> tuple:
     total = env.block_gas(inst.base, inst.base, mech)
     value = env.value(inst.base)
-    return _equal(inst, total, value, _details(total=total, value=value))
+    return total, value, dict(total=total, value=value), True
 
 
 def _check_estimation(mech: str, inst: EstimationInstance,
-                      env: PricingEnv) -> CheckOutcome:
+                      env: PricingEnv) -> tuple:
     if inst.tx.tx_id in inst.block1 or inst.tx.tx_id in inst.block2:
         raise MalformedInstance("tx must not be in either block")
     gas1 = env.gas(inst.block1.with_txs(inst.tx), inst.tx, mech)
     gas2 = env.gas(inst.block2.with_txs(inst.tx), inst.tx, mech)
-    return _equal(inst, gas1, gas2, _details(gas1=gas1, gas2=gas2))
+    return gas1, gas2, dict(gas1=gas1, gas2=gas2), True
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +284,10 @@ class Property:
     whose conclusion is an equality, so a held cell reads "yes"."""
     instance: type
     sample: Callable  # (rng, SamplerConfig) -> instance
-    check: Callable   # (mechanism, instance, PricingEnv) -> CheckOutcome
+    # (mechanism, instance, PricingEnv) -> (lhs, rhs, values, strict): the
+    # conclusion's two sides (lhs None outside the premise), the named
+    # rationals of the details and whether the premise is strict.
+    check: Callable
     exact: bool = False
 
 
@@ -348,7 +331,20 @@ def _spec(prop: str) -> Property:
 
 def check_property(prop: str, mech: str, instance,
                    env: PricingEnv) -> CheckOutcome:
-    return _spec(prop).check(mech, instance, env)
+    """The verdict of ``prop`` for ``mech`` on ``instance``: lhs <= rhs, or
+    lhs == rhs for an exact property; a violation carries the instance as
+    its witness."""
+    spec = _spec(prop)
+    lhs, rhs, values, strict = spec.check(mech, instance, env)
+    if lhs is None:
+        verdict = NOT_APPLICABLE
+    elif not (lhs == rhs if spec.exact else lhs <= rhs):
+        verdict = VIOLATED
+    else:
+        verdict = HOLDS_STRICT if lhs < rhs else HOLDS_EQUAL
+    witness = instance_to_dict(instance) if verdict == VIOLATED else None
+    details = {name: format_rational(v) for name, v in values.items()}
+    return CheckOutcome(verdict, strict, witness, details)
 
 
 def sample_instance(prop: str, rng, cfg: SamplerConfig):

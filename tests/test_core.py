@@ -12,7 +12,8 @@ from paragas import (BlockError, DuplicateId, EmptyKeySet, MalformedDocument,
                      WeightTable, concatenate, format_rational,
                      make_transaction, parse_block, render_block, similar,
                      to_rational)
-from paragas.core import ECHO_CHARS, echo, over_lcm
+from paragas.core import (ECHO_CHARS, echo, over_lcm, txs_from_json,
+                          txs_to_json)
 from paragas.properties import instance_from_dict
 
 
@@ -221,6 +222,7 @@ def test_render_then_parse_round_trips(block, weights):
     txs2, weights2 = parse_block(render_block(txs, weights))
     assert txs2 == txs
     assert weights2 == (weights or WeightTable())
+    assert txs_from_json(txs_to_json(txs)) == txs
 
 
 # Leaves that no transaction field accepts, and fields that are well formed.

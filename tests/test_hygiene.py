@@ -53,3 +53,24 @@ def test_the_package_declares_no_dependencies():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
     project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
     assert project["dependencies"] == []
+
+
+def test_only_check_property_builds_a_check_outcome():
+    # A check returns the two sides of its conclusion; check_property alone
+    # compares them and names the verdict, so no other code builds one.
+    inside, outside = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        owner = {id(node): f"{path.name}:{func.name}"
+                 for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef)
+                 for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "CheckOutcome" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                where = owner.get(id(node), path.name)
+                (inside if where == "properties.py:check_property"
+                 else outside).append(f"{where} line {node.lineno}")
+    assert not outside, f"CheckOutcome built in {outside}"
+    assert inside, "check_property builds no CheckOutcome"
