@@ -173,11 +173,11 @@ _set = object.__setattr__  # TxSet's own __setattr__ refuses every write
 class TxSet:
     """An immutable set of transactions with distinct ids (a block).
 
-    The set keeps its hash, its total time and its compiled form (the
-    scheduler's integer form of the block) once they are first asked for.
+    The set keeps its total time and its compiled form (the scheduler's
+    integer form of the block) once they are first asked for.
     """
 
-    __slots__ = ("txs", "_by_id", "_hash", "_total", "_compiled")
+    __slots__ = ("txs", "_by_id", "_total", "_compiled")
 
     def __init__(self, txs: Iterable[Transaction] = ()):
         self._fill(tuple(sorted(txs, key=_tx_id)))
@@ -217,11 +217,7 @@ class TxSet:
         return isinstance(other, TxSet) and self.txs == other.txs
 
     def __hash__(self) -> int:
-        value = getattr(self, "_hash", None)
-        if value is None:
-            value = hash(self.txs)
-            _set(self, "_hash", value)
-        return value
+        return hash(self.txs)
 
     def __repr__(self) -> str:
         return f"TxSet({list(self.txs)!r})"

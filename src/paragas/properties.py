@@ -3,9 +3,11 @@ mechanism-by-property comparison matrix.
 
 Eight properties are checked; polynomial-time computability is documented in
 the expected-matrix data file (complexity notes) and has no runtime check.
-Satisfied cells are classified statistically ("no violation in N trials",
-with per-sample strictness); violated cells always carry a replayable
-witness.
+A cell counts its trials' outcomes in one tally, keyed by verdict and by
+(verdict, strict premise), and reads its symbol from it: "yes" for an
+``exact`` property, "<" when every held outcome with a strict premise held
+strictly (and there was one), "=" when none held strictly, "<=" otherwise.
+A violated cell always carries a replayable witness.
 
 Each property's check validates its instance, raising MalformedInstance,
 and returns ``(lhs, rhs, values, strict)``: the two sides of the
@@ -14,15 +16,18 @@ is strict.  Scheduling monotonicity returns ``lhs`` None when its premise
 v1 < v2 fails.  ``check_property`` alone turns that into a CheckOutcome: it
 compares the sides (``lhs <= rhs``, or ``lhs == rhs`` for an ``exact``
 property), names the verdict, formats the details and builds a violation's
-witness with ``instance_to_dict`` (a TxSet through ``core.txs_to_json``).
+witness with ``instance_to_dict``.  A witness field is encoded and decoded
+by the ``_CODECS`` pair of its annotation as written ("TxSet",
+"Transaction"), never by a type looked up through ``sys.modules``.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Iterable, get_type_hints
+from typing import Callable, Iterable
 
 from .core import (Transaction, TxSet, concatenate, format_rational,
                    json_object, similar, tx_from_json, tx_to_json,
@@ -94,24 +99,25 @@ class EstimationInstance:
     tx: Transaction
 
 
-_TO_JSON = {TxSet: txs_to_json, Transaction: tx_to_json}
-_FROM_JSON = {TxSet: txs_from_json, Transaction: tx_from_json}
+# A witness field's annotation, as written -> (to_json, from_json).
+_CODECS = {"TxSet": (txs_to_json, txs_from_json),
+           "Transaction": (tx_to_json, tx_from_json)}
 
 
 def instance_to_dict(instance) -> dict:
     """A witness as JSON: a TxSet becomes a list, a Transaction an object."""
-    return {name: _TO_JSON[type(value)](value)
-            for name, value in vars(instance).items()}
+    return {f.name: _CODECS[f.type][0](getattr(instance, f.name))
+            for f in fields(instance)}
 
 
 def instance_from_dict(prop: str, data: dict):
     """Rebuild the instance of ``prop`` from ``instance_to_dict`` output; a
     malformed document raises a BlockError."""
     cls = _spec(prop).instance
-    hints = get_type_hints(cls)
-    json_object(data, f"{prop} witness", hints, required=hints)
-    return cls(**{name: _FROM_JSON[kind](data[name])
-                  for name, kind in hints.items()})
+    names = [f.name for f in fields(cls)]
+    json_object(data, f"{prop} witness", names, required=names)
+    return cls(**{f.name: _CODECS[f.type][1](data[f.name])
+                  for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -531,60 +537,45 @@ class MatrixCell:
     witness: dict | None = None
 
 
-def _classify(prop: str, counts: dict) -> str:
-    if REGISTRY[prop].exact:
-        return "yes"
-    if counts["strict_premise"] and counts["strict_premise_equal"] == 0:
-        return "<"
-    if counts["strict"] == 0:
-        return "="
-    return "<="
-
-
 def _witness(prop: str, mech: str, threads, outcome: CheckOutcome) -> dict:
     return {"property": prop, "mechanism": mech, "threads": threads,
             "instance": outcome.witness, "expected": outcome.details}
 
 
 def evaluate_cell(prop: str, mech: str, cfg: SamplerConfig, budget: int,
-                  envs: dict, known: dict | None = None) -> MatrixCell:
+                  envs: dict, seeded: bool = True) -> MatrixCell:
     """Check ``prop`` for ``mech`` on the known violation of the cell, if
-    any, then on up to ``budget`` sampled instances.  The first violation
-    ends the search and is the cell's witness; with ``known={}`` this is a
-    plain randomized counterexample search."""
-    if known is None:
-        seeded = _KNOWN.get((mech, prop), lambda: None)()
-    else:
-        seeded = known.get((mech, prop))
-    if seeded is not None:
+    any and ``seeded``, then on up to ``budget`` sampled instances.  The
+    first violation ends the search and is the cell's witness; with
+    ``seeded=False`` this is a plain randomized counterexample search."""
+    known = _KNOWN.get((mech, prop)) if seeded else None
+    if known is not None:
         threads = cfg.threads[0]
-        outcome = check_property(prop, mech, seeded, envs[threads])
+        outcome = check_property(prop, mech, known(), envs[threads])
         if outcome.verdict == VIOLATED:
             return MatrixCell("x", 1, 0, 0,
                               _witness(prop, mech, threads, outcome))
-    counts = {"equal": 0, "strict": 0, "strict_premise": 0,
-              "strict_premise_equal": 0}
+    tally = Counter()
     rng = rng_for(cfg, "matrix", mech, prop)
     for trial in range(budget):
         threads = rng.choice(cfg.threads)
         inst = sample_instance(prop, rng, cfg)
         outcome = check_property(prop, mech, inst, envs[threads])
-        if outcome.verdict == NOT_APPLICABLE:
-            continue
         if outcome.verdict == VIOLATED:
-            return MatrixCell("x", trial + 1, counts["strict"],
-                              counts["equal"],
+            return MatrixCell("x", trial + 1, tally[HOLDS_STRICT],
+                              tally[HOLDS_EQUAL],
                               _witness(prop, mech, threads, outcome))
-        if outcome.verdict == HOLDS_STRICT:
-            counts["strict"] += 1
-        else:
-            counts["equal"] += 1
-        if outcome.strict_premise:
-            counts["strict_premise"] += 1
-            if outcome.verdict == HOLDS_EQUAL:
-                counts["strict_premise_equal"] += 1
-    return MatrixCell(_classify(prop, counts), budget, counts["strict"],
-                      counts["equal"])
+        tally[outcome.verdict] += 1
+        tally[outcome.verdict, outcome.strict_premise] += 1
+    if REGISTRY[prop].exact:
+        symbol = "yes"
+    elif tally[HOLDS_STRICT, True] and not tally[HOLDS_EQUAL, True]:
+        symbol = "<"
+    elif not tally[HOLDS_STRICT]:
+        symbol = "="
+    else:
+        symbol = "<="
+    return MatrixCell(symbol, budget, tally[HOLDS_STRICT], tally[HOLDS_EQUAL])
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,16 @@ from paragas import (PROPERTIES, BlockError, FixtureMismatch,
                      MalformedDocument, PricingEnv, SamplerConfig,
                      SchedulerConfig, TxSet, check_property, env_pool,
                      evaluate_cell, gcm, known_violations,
-                     load_expected_matrix, make_transaction, property_matrix,
-                     run_fixture_suite)
+                     load_expected_matrix, make_transaction, properties,
+                     property_matrix, run_fixture_suite)
 from paragas.cli import main
 from paragas.core import NonPositiveTime
 from paragas.properties import (HOLDS_EQUAL, HOLDS_STRICT, NOT_APPLICABLE,
-                                VIOLATED, BundlingInstance, EfficiencyInstance,
-                                EstimationInstance, MalformedInstance,
-                                PairInstance, SetInclusionInstance,
-                                instance_from_dict, instance_to_dict,
-                                sample_instance)
+                                VIOLATED, BundlingInstance, CheckOutcome,
+                                EfficiencyInstance, EstimationInstance,
+                                MalformedInstance, MatrixCell, PairInstance,
+                                SetInclusionInstance, instance_from_dict,
+                                instance_to_dict, sample_instance)
 from paragas.sampling import rng_for
 
 from bounded import PAIR_PROPERTIES, check_properties
@@ -264,14 +264,14 @@ def test_search_counterexample_finds_and_misses():
     cfg = SamplerConfig(seed=1, max_txs=4, key_pool=3)
     envs = env_pool(cfg)
     hit = evaluate_cell("set_inclusion", "shapley", cfg, 5000, envs,
-                        known={}).witness
+                        seeded=False).witness
     assert hit is not None
     assert hit["mechanism"] == "shapley"
     miss = evaluate_cell("key_monotonicity", "weighted_area", cfg, 300, envs,
-                         known={}).witness
+                         seeded=False).witness
     assert miss is None
     p8 = evaluate_cell("easy_gas_estimation", "tpm", cfg, 500, envs,
-                       known={}).witness
+                       seeded=False).witness
     assert p8 is not None
 
 
@@ -301,11 +301,67 @@ def test_matrix_cell_symbols_match_published_rows():
 def test_evaluate_cell_reports_mismatch_against_wrong_expectation():
     cfg = SamplerConfig(seed=0)
     envs = env_pool(cfg)
-    cell = evaluate_cell("efficiency", "shapley", cfg, 50, envs, known={})
+    cell = evaluate_cell("efficiency", "shapley", cfg, 50, envs, seeded=False)
     assert cell.symbol == "yes"
-    cell = evaluate_cell("efficiency", "banzhaf", cfg, 200, envs, known={})
+    cell = evaluate_cell("efficiency", "banzhaf", cfg, 200, envs, seeded=False)
     assert cell.symbol == "x"  # found by search even without the seeded witness
     assert cell.witness is not None
+
+
+def _script_trials(monkeypatch, outcomes) -> list:
+    """Make evaluate_cell's trials return ``outcomes`` in order, sampling
+    nothing; the returned list holds the outcomes not yet handed out."""
+    left = [CheckOutcome(*outcome) for outcome in outcomes]
+    monkeypatch.setattr(properties, "sample_instance", lambda *args: None)
+    monkeypatch.setattr(properties, "check_property",
+                        lambda *args: left.pop(0))
+    return left
+
+
+S, E, NA = HOLDS_STRICT, HOLDS_EQUAL, NOT_APPLICABLE
+
+
+@pytest.mark.parametrize("prop, outcomes, symbol", [
+    # A strict premise that always held strictly: "<".
+    ("key_monotonicity", [(S, True), (S, True), (E, False)], "<"),
+    # One equality under a strict premise among strict outcomes: "<=".
+    ("key_monotonicity", [(S, True), (E, True), (S, True)], "<="),
+    # Strict outcomes, but none under a strict premise: "<=".
+    ("key_monotonicity", [(S, False), (E, False)], "<="),
+    # Nothing held strictly: "=".
+    ("key_monotonicity", [(E, True), (E, False), (E, True)], "="),
+    # Nothing applied: "=", with no outcome counted.
+    ("scheduling_monotonicity", [(NA, False)] * 4, "="),
+    # The same equalities under an equality property: "yes".
+    ("efficiency", [(E, True), (E, True), (E, True)], "yes"),
+])
+def test_a_cell_is_graded_from_the_tally_of_its_outcomes(monkeypatch, prop,
+                                                         outcomes, symbol):
+    cfg = SamplerConfig(seed=0)
+    _script_trials(monkeypatch, outcomes)
+    cell = evaluate_cell(prop, "current", cfg, len(outcomes), env_pool(cfg),
+                         seeded=False)
+    strict = sum(verdict == S for verdict, _ in outcomes)
+    equal = sum(verdict == E for verdict, _ in outcomes)
+    assert cell == MatrixCell(symbol, len(outcomes), strict, equal)
+
+
+def test_a_violation_ends_the_cell_with_the_counts_so_far(monkeypatch):
+    cfg = SamplerConfig(seed=0)
+    witness, details = {"base": []}, {"total": "2", "value": "1"}
+    left = _script_trials(monkeypatch, [
+        (S, True), (NA, False), (E, False), (S, False),
+        (VIOLATED, True, witness, details), (S, True), (E, True)])
+    cell = evaluate_cell("efficiency", "current", cfg, 7, env_pool(cfg),
+                         seeded=False)
+    assert (cell.symbol, cell.trials, cell.strict_count,
+            cell.equal_count) == ("x", 5, 2, 1)
+    assert cell.witness["instance"] == witness
+    assert cell.witness["expected"] == details
+    assert cell.witness["property"] == "efficiency"
+    assert cell.witness["mechanism"] == "current"
+    assert cell.witness["threads"] in cfg.threads
+    assert len(left) == 2  # no trial after the violation
 
 
 def test_lemma_consistency_all_mechanisms():
@@ -363,3 +419,29 @@ def test_a_witness_is_built_after_the_package_is_imported_again():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[{'id': 'x1', 'time': '1', 'keys': ['k1']}]\n"
+
+
+# Builds a witness with the first import of paragas, imports the package
+# again and reads the witness back with the first import.
+_REREAD = """
+import sys
+from paragas import properties as first
+inst = first.known_violations()[("xsm", "set_inclusion")]
+witness = first.instance_to_dict(inst)
+for name in [n for n in sys.modules if n.split(".")[0] == "paragas"]:
+    del sys.modules[name]
+import paragas.properties
+print(first.instance_from_dict("set_inclusion", witness) == inst)
+"""
+
+
+def test_a_witness_is_read_after_the_package_is_imported_again():
+    # A witness field is decoded by the codec of its annotation as written,
+    # not by a type resolved through sys.modules, which now holds the
+    # second import's classes.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _REREAD], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
