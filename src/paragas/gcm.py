@@ -10,8 +10,10 @@ from the scheduler, which alone checks the instance cap and keeps the exact
 answers of a block: ``PricingEnv.vtable_for`` is a call to
 ``scheduler.kept_table``, which returns the table kept with the block at the
 env's thread count or fills and keeps it.  The prices derived from a table
-are cached on it, so a block is filled once however many mechanisms or envs
-price it, and tables and prices are freed with the block.
+are cached on it, one price kind (Shapley or raw Banzhaf) at a time and
+only when that kind is first asked for, so a block is filled once however
+many mechanisms or envs price it, a Shapley price never folds the Banzhaf
+sums nor the reverse, and tables and prices are freed with the block.
 
 Coalition sums.  With v the table's scaled values and w_s = s!(n - s - 1)!
 (w_n = 0), the Shapley price of i is A_i - B over n! scale, where
@@ -22,7 +24,7 @@ U with i is S + i for exactly one S without i, and the sets without i are
 all sets less those with i.  The Shapley prices sum to v(T) (v of the
 empty set is 0), so n B = sum over i of A_i - n! v(T).  In the same way the
 raw Banzhaf price of i is 2 sum over U with i of v(U) - sum over U of v(U),
-over 2^(n-1) scale.  ``_block_prices`` takes the sums over the U with i
+over 2^(n-1) scale.  ``_mask_sums`` takes the sums over the U with i
 from the finished table, for every i at once, by halving folds: the upper
 half of a list indexed by mask holds the sets with its top bit, and adding
 it to the lower half leaves a list of half the length whose upper half
@@ -47,11 +49,11 @@ class TxNotInSet(ValueError):
     pass
 
 
-class BlockPrices(NamedTuple):
-    """Shapley and raw Banzhaf prices of every transaction of a block."""
-    shapley: dict
-    banzhaf: dict
-    banzhaf_total: Fraction
+class Prices(NamedTuple):
+    """One kind of price of every transaction of a block, by id, and their
+    total."""
+    by_id: dict
+    total: Fraction
 
 
 FOLD_MASKS = 1 << 12  # masks a fold takes at a time
@@ -73,52 +75,68 @@ def _fold_into(sums: list, fold: list, base: int, low: int) -> int:
     return total
 
 
-def _price_numerators(scaled: list, n: int) -> tuple[list, list]:
-    """Per transaction, the integer Shapley numerator over n! scale and
-    the raw Banzhaf one over 2^(n-1) scale, from the scaled values of an
-    n-transaction table; see the module docstring."""
-    w = [factorial(s) * factorial(n - s - 1) for s in range(n)] + [0]
-    coeff = [0] + [w[s - 1] + w[s] for s in range(1, n + 1)]  # of A, by |U|
-    a, with_v = [0] * n, [0] * n  # A_i, and the sum of v(U) over U with i
-    all_v = 0
+def _mask_sums(scaled: list, n: int,
+               by_size: list | None = None) -> tuple[list, int]:
+    """Per transaction i of an n-transaction table, the sum of v(U) over
+    the sets U with i, each v(U) times ``by_size[|U|]`` if given, and the
+    same sum over every U."""
+    sums, total = [0] * n, 0
     span = min(1 << n, FOLD_MASKS)
     low = span.bit_length() - 1  # the bits a chunk's masks vary in
     for base in range(0, 1 << n, span):
         chunk = scaled[base:base + span]
-        all_v += _fold_into(with_v, chunk, base, low)
-        sizes = map(int.bit_count, range(base, base + span))
-        _fold_into(a, list(map(mul, map(coeff.__getitem__, sizes), chunk)),
-                   base, low)
+        if by_size is not None:
+            sizes = map(int.bit_count, range(base, base + span))
+            chunk = list(map(mul, map(by_size.__getitem__, sizes), chunk))
+        total += _fold_into(sums, chunk, base, low)
+    return sums, total
+
+
+def _shapley_numerators(scaled: list, n: int) -> list:
+    """Per transaction, the integer Shapley numerator over n! scale, from
+    the scaled values of an n-transaction table; see the module
+    docstring."""
+    w = [factorial(s) * factorial(n - s - 1) for s in range(n)] + [0]
+    coeff = [0] + [w[s - 1] + w[s] for s in range(1, n + 1)]  # of A, by |U|
+    a = _mask_sums(scaled, n, coeff)[0]
     b = (sum(a) - factorial(n) * scaled[-1]) // n if n else 0
-    return [m - b for m in a], [2 * m - all_v for m in with_v]
+    return [m - b for m in a]
 
 
-def _block_prices(vtable: SubsetValueTable) -> BlockPrices:
-    """Shapley and raw Banzhaf prices of the whole block, cached on the
-    table: the numerators of ``_price_numerators`` over n! and 2^(n-1)
-    times the table's scale."""
-    if vtable.prices is not None:
-        return vtable.prices
-    n = len(vtable.ids)
-    shapley_nums, banzhaf_nums = _price_numerators(vtable.scaled, n)
-    shapley_den = factorial(n) * vtable.scale
-    banzhaf_den = (1 << max(n - 1, 0)) * vtable.scale
-    vtable.prices = BlockPrices(
-        {tx_id: Fraction(m, shapley_den)
-         for tx_id, m in zip(vtable.ids, shapley_nums)},
-        {tx_id: Fraction(m, banzhaf_den)
-         for tx_id, m in zip(vtable.ids, banzhaf_nums)},
-        Fraction(sum(banzhaf_nums), banzhaf_den))
-    return vtable.prices
+def _banzhaf_numerators(scaled: list, n: int) -> list:
+    """Per transaction, the integer raw Banzhaf numerator over 2^(n-1)
+    scale, from the scaled values of an n-transaction table."""
+    with_v, all_v = _mask_sums(scaled, n)
+    return [2 * m - all_v for m in with_v]
+
+
+# price kind -> (its numerators, its denominator over the scale, of n)
+_FOLDS = {"shapley": (_shapley_numerators, factorial),
+          "banzhaf": (_banzhaf_numerators, lambda n: 1 << max(n - 1, 0))}
+
+
+def _block_prices(vtable: SubsetValueTable, kind: str) -> Prices:
+    """The prices of one kind of the whole block, cached on the table: the
+    kind's numerators over its denominator times the table's scale."""
+    prices = vtable.prices.get(kind)
+    if prices is None:
+        numerators, denominator = _FOLDS[kind]
+        n = len(vtable.ids)
+        nums = numerators(vtable.scaled, n)
+        den = denominator(n) * vtable.scale
+        prices = vtable.prices[kind] = Prices(
+            {tx_id: Fraction(m, den) for tx_id, m in zip(vtable.ids, nums)},
+            Fraction(sum(nums), den))
+    return prices
 
 
 def _banzhaf_normalized(block: TxSet, tx: Transaction,
                         env: PricingEnv) -> Fraction:
     # The raw total of a block that holds tx includes v({tx}) = t > 0.
     vtable = env.vtable_for(block)
-    prices = _block_prices(vtable)
+    prices = _block_prices(vtable, "banzhaf")
     v_block = Fraction(vtable.scaled[-1], vtable.scale)  # last mask: all of T
-    return prices.banzhaf[tx.tx_id] * v_block / prices.banzhaf_total
+    return prices.by_id[tx.tx_id] * v_block / prices.total
 
 
 # mechanism -> (block, tx, env) -> gas, in presentation order.
@@ -127,9 +145,9 @@ _GAS = {
     "weighted_area": lambda block, tx, env: tx.time * sum(
         (env.weights.get(k) for k in tx.keys), Fraction(1)),
     "shapley": lambda block, tx, env:
-        _block_prices(env.vtable_for(block)).shapley[tx.tx_id],
+        _block_prices(env.vtable_for(block), "shapley").by_id[tx.tx_id],
     "banzhaf": lambda block, tx, env:
-        _block_prices(env.vtable_for(block)).banzhaf[tx.tx_id],
+        _block_prices(env.vtable_for(block), "banzhaf").by_id[tx.tx_id],
     "banzhaf_normalized": _banzhaf_normalized,
     "tpm": lambda block, tx, env:
         tx.time / block.total_time() * env.value(block),

@@ -43,12 +43,16 @@ min over the i seen so far meet: the partial lb and ub bound v(S) as the
 full ones do, so v(S) >= lb >= ub >= v(S) and v(S) = ub, with no search.
 A scan that ends with lb < ub has read every i, so the rules below see the
 same bounds as a full scan.  Otherwise the greedy schedule of S may lower
-ub (it is valid, so its makespan is at least v(S)), and if lb < ub still,
-the search starts from ub as its incumbent and stops as soon as the
-incumbent reaches lb, since no schedule can beat a lower bound.  The
-search also prunes a node at clock c with transactions R not yet started
-when c + v(R) reaches the incumbent: R is a proper subset of S, so v(R) is
-already in the table, and R's transactions all start at c or later.
+ub (it is valid, so its makespan is at least v(S)); if lb < ub still, a
+second greedy run whose list puts first the transactions with the heaviest
+conflict load work[S & N(i)] + t_i (ties longest time first) may lower it
+again.  The fill reads only the makespans, so any list order will do.  If
+lb < ub still, the search starts from ub as its incumbent and stops as
+soon as the incumbent reaches lb, since no schedule can beat a lower
+bound.  The search also prunes a node at clock c with transactions R not
+yet started when c + v(R) reaches the incumbent: R is a proper subset of
+S, so v(R) is already in the table, and R's transactions all start at c
+or later.
 
 Components.  When the thread cap cannot bind, with unbounded threads or
 with |S| <= n, a subset S that splits into parts C and S - C sharing no
@@ -74,14 +78,22 @@ from this door, and the lattice fallback below goes through it too.
 ``optimal_makespan``, ``optimal_schedule`` and ``ValueOracle.value`` first
 compare the greedy makespan with the static bound ``_Scaled.bound`` at
 clock 0 on T (longest time, heaviest key, ceil(work / n)), the bound that
-every node of the search applies too; when they meet, v(T) is the greedy
-makespan and the starts are the greedy ones.  These are the starts the
-search would return: it only replaces the greedy starts with a strictly
-shorter schedule, and none exists.  Only a block the bounds leave open
-goes to the oracle's memo and to the search, which runs on the whole block
-with a budget of max(2^|T|, 256) nodes; the oracle hands its gate and
-bounds to ``optimal_makespan``, so neither runs twice.  If the search
-runs out, they take the table from the door, so a later Shapley price or oracle
+every node of the search applies too.  When the greedy makespan exceeds
+it, ``_bounds`` raises this floor to the heaviest clique of T (a weight
+pruned branch and bound over the conflict graph that visits each clique
+once, so at most 2^|T| nodes, within the search budget below).  When the
+floor and the greedy makespan meet, v(T) is the greedy makespan and the
+starts are the greedy ones.  These are the starts the search would
+return: it only replaces the greedy starts with a strictly shorter
+schedule, and none exists.  A higher floor never changes the starts of an
+open block either: the floor is at most v(T), and the search reads it only
+to stop once its incumbent reaches it, which is at the first optimal
+schedule in depth-first order, the one a search with a lower floor keeps
+to the end.  Only a block the bounds leave open goes to the oracle's memo
+and to the search, which runs on the whole block with a budget of
+max(2^|T|, 256) nodes; the oracle hands its gate and bounds to
+``optimal_makespan``, so neither runs twice.  If the search runs out,
+they take the table from the door, so a later Shapley price or oracle
 lookup of the block reads it without a second fill, and read v(T) from it;
 for the starts, the search reruns from the greedy incumbent with floor
 v(T) and the table's c + v(R) cut.  It returns the same schedule as the
@@ -422,12 +434,52 @@ def _search(sc: _Scaled, threads: int | None, items, best: int, floor: int,
     return found[0], found[1]
 
 
+def _neighbours(masks: list) -> list:
+    """For every transaction i, the transactions that share a key with i,
+    as a mask."""
+    return [sum(1 << j for j, other in enumerate(masks)
+                if j != i and mine & other) for i, mine in enumerate(masks)]
+
+
+def _heaviest_clique(sc: _Scaled, neighbours) -> int:
+    """The greatest total time of a set of transactions that pairwise share
+    a key: a branch and bound over the cliques of the conflict graph, which
+    grows each clique by the candidates adjacent to all of it, longest time
+    first, and leaves a node once its weight and all its candidates' times
+    together cannot beat the best clique so far.  Each node is a distinct
+    clique, so the search visits at most 2^|T| nodes, never more than the
+    whole-block search budget max(2^|T|, 256), and it reads ``neighbours``
+    once per node below the root."""
+    times = sc.times
+    best = 0
+
+    def grow(weight: int, candidates: list) -> None:
+        nonlocal best
+        if weight > best:
+            best = weight
+        rest = sum(times[i] for i in candidates)
+        for k, i in enumerate(candidates):
+            if weight + rest <= best:
+                return
+            rest -= times[i]
+            adjacent = neighbours[i]
+            grow(weight + times[i],
+                 [j for j in candidates[k + 1:] if adjacent >> j & 1])
+
+    grow(0, sc.order)
+    return best
+
+
 def _bounds(sc: _Scaled, threads: int | None) -> tuple[int, int, dict]:
-    """The static lower bound of the whole block, and the makespan and
-    starts of its greedy schedule, an upper bound; v(T) is the greedy
-    makespan when the two meet."""
-    return (sc.bound(threads)(0, (), range(len(sc.times))),
-            *_greedy(sc, threads, sc.order))
+    """A lower bound of v(T), and the makespan and starts of the block's
+    greedy schedule, an upper bound; v(T) is the greedy makespan when the
+    two meet.  The lower bound is the static one, raised to the heaviest
+    clique when the greedy makespan exceeds it."""
+    floor = sc.bound(threads)(0, (), range(len(sc.times)))
+    span, starts = _greedy(sc, threads, sc.order)
+    if span > floor:
+        floor = max(floor, _heaviest_clique(sc, _neighbours(sc.masks)))
+    return floor, span, starts
 
 
 def _optimal(txs: TxSet, cfg: SchedulerConfig,
@@ -516,15 +568,16 @@ class SubsetValueTable:
     list indexed by bit mask that holds scale * v(S), where bit i stands
     for ``ids[i]``.  ``values`` reads the same numbers keyed by frozensets
     of ids.  The gcm module prices a block from ``scaled`` and caches the
-    prices in ``prices``.  The table holds ids, not the TxSet, so the
-    compiled form that keeps it forms no cycle with the set.
+    prices of each kind it is asked for in ``prices``, keyed by the kind.
+    The table holds ids, not the TxSet, so the compiled form that keeps it
+    forms no cycle with the set.
     """
 
     def __init__(self, ids: tuple, scale: int, scaled: list):
         self.ids = ids
         self.scale = scale
         self.scaled = scaled
-        self.prices = None
+        self.prices: dict = {}
 
     @property
     def values(self) -> dict:
@@ -557,11 +610,9 @@ def kept_table(txs: TxSet, cfg: SchedulerConfig) -> SubsetValueTable:
 def _fill(sc: _Scaled, threads: int | None) -> list:
     """Scaled v(S) for every mask S, a list in mask order; see the module
     docstring."""
-    times, masks, n = sc.times, sc.masks, len(sc.times)
+    times, n = sc.times, len(sc.times)
     total, order = sum(times), sc.order
-    # neighbours[i]: the transactions that share a key with i, as a mask.
-    neighbours = [sum(1 << j for j in range(n)
-                      if j != i and masks[i] & masks[j]) for i in range(n)]
+    neighbours = _neighbours(sc.masks)
     v, work = [0] * (1 << n), [0] * (1 << n)
     for mask in range(1, 1 << n):
         # Seed lb with the shift bound of the lowest transaction i of S.
@@ -589,6 +640,11 @@ def _fill(sc: _Scaled, threads: int | None) -> list:
         if lb < ub:
             items = [i for i in order if mask >> i & 1]
             ub = min(ub, _greedy(sc, threads, items)[0])
+            if lb < ub:
+                # Heaviest conflict load first, ties in LPT order.
+                items.sort(key=lambda i: work[mask & neighbours[i]]
+                           + times[i], reverse=True)
+                ub = min(ub, _greedy(sc, threads, items)[0])
             if lb < ub:
                 ub = _search(sc, threads, sorted(items), ub, lb, v)[0]
         v[mask] = ub

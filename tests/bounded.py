@@ -6,6 +6,9 @@ over a small domain of shapes (a time and a key set) is built, at each
 thread count.  Every entry of the block's subset table must equal
 ``exhaustive_makespan`` of that subset, and every Shapley and raw Banzhaf
 price must equal the one ``exhaustive.py`` computes from the definitions.
+The lower bound the scheduler's ``_bounds`` gives the whole block must not
+exceed its v(T), and ``optimal_schedule`` must return the starts of the
+plain search with the static floor (``static_floor_starts``).
 The makespan of a subset depends only on the multiset of its shapes, so
 each multiset is enumerated once per thread count.
 
@@ -47,7 +50,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 from paragas import (PricingEnv, SchedulerConfig, TxSet, check_property,
                      concatenate, load_expected_matrix, make_transaction,
-                     subset_value_table)
+                     optimal_schedule, scheduler, subset_value_table)
 from paragas.properties import (PROPERTIES, REGISTRY, VIOLATED,
                                 BundlingInstance, EfficiencyInstance,
                                 EstimationInstance, MalformedInstance,
@@ -97,6 +100,23 @@ def _shape(txs) -> tuple:
     return tuple(sorted((tx.time, tuple(sorted(tx.keys))) for tx in txs))
 
 
+def static_floor_starts(block, threads) -> dict:
+    """The starts, by id, of the plain branch and bound on the whole block:
+    from the greedy schedule, with the static lower bound as its floor, no
+    table and no budget."""
+    sc = scheduler.compiled(block)
+    items = range(len(block))
+    span, starts = scheduler._greedy(sc, threads, sc.order)
+    found = scheduler._search(sc, threads, items, span,
+                              sc.bound(threads)(0, (), items))[1]
+    if found is not None:
+        starts = {}
+        while found is not None:
+            (batch, start), found = found
+            starts.update(dict.fromkeys(batch, start))
+    return sc.schedule(block, starts).starts
+
+
 def check_bounded(times=TIMES, key_sets=KEY_SETS, max_txs=MAX_TXS,
                   threads=THREADS) -> BoundedReport:
     pairs = entries = prices = 0
@@ -115,6 +135,13 @@ def check_bounded(times=TIMES, key_sets=KEY_SETS, max_txs=MAX_TXS,
                 if v != exact[key]:
                     mismatches.append(("entry", _shape(block), n,
                                        sorted(ids)))
+            sc = scheduler.compiled(block)
+            floor = Fraction(scheduler._bounds(sc, n)[0], sc.scale)
+            if floor > exact[_shape(block), n]:
+                mismatches.append(("floor", _shape(block), n, floor))
+            if optimal_schedule(block, cfg).starts != \
+                    static_floor_starts(block, n):
+                mismatches.append(("starts", _shape(block), n, None))
             env = PricingEnv(scheduler_cfg=cfg)
             for tx in block:
                 for mech, want in (("shapley", shapley_subset),

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from paragas import (PricingEnv, SchedulerConfig, TxSet, WeightTable,
+from paragas import (PricingEnv, SchedulerConfig, TxSet, WeightTable, gcm,
                      make_transaction, scheduler, subset_value_table)
 from paragas.core import Transaction
 from paragas.gcm import MECHANISMS, TxNotInSet, _block_prices
@@ -318,7 +318,8 @@ def test_pricing_a_16_tx_table_takes_little_memory():
     block, table = key_load_table(16)
     tracemalloc.start()
     try:
-        prices = _block_prices(table)
+        shapley = _block_prices(table, "shapley")
+        banzhaf = _block_prices(table, "banzhaf")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -327,8 +328,26 @@ def test_pricing_a_16_tx_table_takes_little_memory():
     want_shapley = [Fraction(sum(map(int.__mul__, weights, by_size)),
                              factorial(16)) for by_size in sums]
     want_banzhaf = [Fraction(sum(by_size), 1 << 15) for by_size in sums]
-    assert list(prices.shapley.values()) == want_shapley
-    assert list(prices.banzhaf.values()) == want_banzhaf
-    assert prices.banzhaf_total == sum(want_banzhaf)
-    assert sum(want_shapley) == table.scaled[-1]
+    assert list(shapley.by_id.values()) == want_shapley
+    assert list(banzhaf.by_id.values()) == want_banzhaf
+    assert banzhaf.total == sum(want_banzhaf)
+    assert shapley.total == sum(want_shapley) == table.scaled[-1]
     assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("asked, other", [("shapley", "banzhaf"),
+                                          ("banzhaf", "shapley")])
+def test_a_price_folds_only_its_own_kind(asked, other, monkeypatch):
+    # Each kind of price is folded when it is first asked for, so pricing
+    # a block by one kind never runs the other kind's fold.
+    def fail(*_args):
+        raise AssertionError(f"the {other} fold ran")
+
+    monkeypatch.setitem(gcm._FOLDS, other, (fail, gcm._FOLDS[other][1]))
+    block = TxSet(tx(f"t{i}", i + 1, [f"k{i % 2}"]) for i in range(4))
+    e = env2()
+    mechs = {"shapley": ("shapley",),
+             "banzhaf": ("banzhaf", "banzhaf_normalized")}[asked]
+    for mech in mechs:
+        e.block_gas(block, block, mech)
+    assert list(e.vtable_for(block).prices) == [asked]
