@@ -7,8 +7,8 @@ verification harness with known counterexamples, and a minimal fee market.
 from .core import (BlockError, DuplicateId, EmptyKeySet, MalformedDocument,
                    NonPositiveTime, NonPositiveWeight, Transaction, TxSet,
                    WeightTable, concatenate, format_rational,
-                   make_transaction, parse_block, render_block, similar,
-                   to_rational)
+                   make_transaction, parse_block, parse_weights,
+                   render_block, similar, to_rational)
 from .feemarket import (BASE_FEE_GRID, BaseFeeState, Bid, BlockResult,
                         WorkloadConfig, base_fee_update, build_block,
                         make_bid, simulate, workload)

@@ -19,9 +19,8 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
-from .core import (BlockError, WeightTable, echo, format_approx,
-                   format_rational, load_json, parse_block, rational_of,
-                   weights_from_json)
+from .core import (BlockError, echo, format_approx, format_rational,
+                   parse_block, parse_weights, rational_of)
 from .feemarket import (BaseFeeBelowFloor, BaseFeeState, BlockResult,
                         WorkloadConfig, simulate, workload)
 from .gcm import MECHANISMS, TABLE_MECHANISMS, PricingEnv
@@ -77,6 +76,14 @@ def _one_of(*choices: str) -> dict:
     return {"choices": choices, "type": parse}
 
 
+def _listed(metavar: str, *choices: str) -> dict:
+    """``_one_of(*choices)`` for a long list: the usage shows ``metavar``
+    and the help lists the choices, so that both wrap on a narrow
+    terminal."""
+    return {**_one_of(*choices), "metavar": metavar,
+            "help": ", ".join(choices)}
+
+
 def _threads(value: str):
     return None if value == "unbounded" else _int_at_least(2)(value)
 
@@ -84,8 +91,7 @@ def _threads(value: str):
 # The ``add_argument`` keywords of the block argument, --mech and --threads,
 # each declared here once for every subcommand that takes it.
 _BLOCK = {"help": "block JSON file"}
-_MECH = {"default": "current", **_one_of(*MECHANISMS), "metavar": "MECH",
-         "help": ", ".join(MECHANISMS)}
+_MECH = {"default": "current", **_listed("MECH", *MECHANISMS)}
 _THREADS = {"type": _threads, "default": 2, "metavar": "N|unbounded"}
 
 
@@ -115,22 +121,6 @@ def _read(path: str, what: str) -> str:
         raise UsageError(f"cannot read {what}: {exc}")
 
 
-def _load_weights(path: str | None, fallback: WeightTable) -> WeightTable:
-    if path is None:
-        return fallback
-    try:
-        data = load_json(_read(path, "weights file"))
-    except BlockError as exc:
-        raise UsageError(f"cannot read weights file: {exc}")
-    if not isinstance(data, dict):
-        raise UsageError("weights file must be a JSON object")
-    # The nested form holds only these fields, as a block's weights do;
-    # any other object is a flat map of key -> weight.
-    if data.keys() <= {"weights", "default_weight"}:
-        return weights_from_json(data)
-    return WeightTable(weights=data)
-
-
 def _threads_label(threads) -> str:
     return "unbounded" if threads is None else threads
 
@@ -140,8 +130,9 @@ def _threads_label(threads) -> str:
 
 
 def cmd_gas(args) -> int:
-    txs, file_weights = parse_block(_read(args.block, "block file"))
-    weights = _load_weights(args.weights, file_weights)
+    txs, weights = parse_block(_read(args.block, "block file"))
+    if args.weights is not None:
+        weights = parse_weights(_read(args.weights, "weights file"))
     cfg = _scheduler_cfg(args.threads)
     env = PricingEnv(weights=weights, scheduler_cfg=cfg)
     per_tx = {tx.tx_id: env.gas(txs, tx, args.mech) for tx in txs}
@@ -211,11 +202,6 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.mech not in ("all", *TABLE_MECHANISMS):
-        raise UsageError(
-            f"mechanism {echo(args.mech)} is not in the comparison matrix")
-    if args.prop not in ("all", *PROPERTIES):
-        raise UsageError(f"unknown property {echo(args.prop)}")
     mechs = TABLE_MECHANISMS if args.mech == "all" else (args.mech,)
     props = PROPERTIES if args.prop == "all" else (args.prop,)
     failures = []
@@ -360,8 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser(
         "check", help="run counterexample fixtures and the property matrix")
-    p_check.add_argument("--mech", default="all")
-    p_check.add_argument("--prop", default="all")
+    p_check.add_argument("--mech", default="all",
+                         **_listed("MECH", "all", *TABLE_MECHANISMS))
+    p_check.add_argument("--prop", default="all",
+                         **_listed("PROP", "all", *PROPERTIES))
     p_check.add_argument("--seed", type=_int, default=0)
     p_check.add_argument("--budget", type=_int_at_least(1), default=2000)
     p_check.add_argument("--format", default="text",

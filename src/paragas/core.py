@@ -5,8 +5,9 @@ this package ever goes through floating point, so all comparisons are exact.
 
 Every JSON format of the package is read here and only here: block files,
 the transaction objects that blocks and property witnesses share, and key
-weights; ``json_object`` is the one check of an object's fields, which the
-workload and witness readers use too.  Every error message that echoes an
+weights, in a block or in a weights file (``parse_weights``);
+``json_object`` is the one check of an object's fields, which the workload
+and witness readers use too.  Every error message that echoes an
 input shows it through ``echo`` (a repr) or ``cut`` (a rational as
 ``format_rational`` prints it), so a huge input gives a short message.
 """
@@ -374,7 +375,8 @@ def weights_from_json(doc: dict) -> WeightTable:
     return WeightTable(weights, doc.get("default_weight", 1))
 
 
-_BLOCK_FIELDS = ("transactions", "weights", "default_weight")
+_WEIGHT_FIELDS = ("weights", "default_weight")
+_BLOCK_FIELDS = ("transactions", *_WEIGHT_FIELDS)
 
 
 def parse_block(document: str) -> tuple[TxSet, WeightTable]:
@@ -382,6 +384,18 @@ def parse_block(document: str) -> tuple[TxSet, WeightTable]:
     data = json_object(load_json(document), "block", _BLOCK_FIELDS,
                        required=("transactions",))
     return txs_from_json(data["transactions"]), weights_from_json(data)
+
+
+def parse_weights(document: str) -> WeightTable:
+    """Parse a weights document: an object in the nested form of a
+    block's weights (only ``weights`` and ``default_weight``), or any other
+    object as a flat map of key -> weight."""
+    data = load_json(document)
+    if not isinstance(data, dict):
+        raise MalformedDocument("weights file must be a JSON object")
+    if data.keys() <= set(_WEIGHT_FIELDS):
+        return weights_from_json(data)
+    return WeightTable(weights=data)
 
 
 def render_block(txs: TxSet, weights: WeightTable | None = None) -> str:

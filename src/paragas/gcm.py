@@ -5,8 +5,9 @@ charged to ``tx`` when the block ``block`` is executed.  The mechanisms
 differ only in what they read: ``constant`` charges one unit, ``current``
 and ``weighted_area`` read the transaction (and the ``PricingEnv``'s
 weights), TPM, ESM and XSM read v(T) from the env's makespan oracle, and
-Shapley and Banzhaf read the block's 2^|T| subset-value table.  Both come
-from the scheduler, which alone checks the instance cap and keeps the exact
+Shapley and Banzhaf read the block's 2^|T| subset-value table; normalized
+Banzhaf reads both, and finds v(T) kept by the fill.  Both come from the
+scheduler, which alone checks the instance cap and keeps the exact
 answers of a block: ``PricingEnv.vtable_for`` is a call to
 ``scheduler.kept_table``, which returns the table kept with the block at the
 env's thread count or fills and keeps it.  The prices derived from a table
@@ -133,10 +134,8 @@ def _block_prices(vtable: SubsetValueTable, kind: str) -> Prices:
 def _banzhaf_normalized(block: TxSet, tx: Transaction,
                         env: PricingEnv) -> Fraction:
     # The raw total of a block that holds tx includes v({tx}) = t > 0.
-    vtable = env.vtable_for(block)
-    prices = _block_prices(vtable, "banzhaf")
-    v_block = Fraction(vtable.scaled[-1], vtable.scale)  # last mask: all of T
-    return prices.by_id[tx.tx_id] * v_block / prices.total
+    prices = _block_prices(env.vtable_for(block), "banzhaf")
+    return prices.by_id[tx.tx_id] * env.value(block) / prices.total
 
 
 # mechanism -> (block, tx, env) -> gas, in presentation order.

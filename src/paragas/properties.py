@@ -125,6 +125,8 @@ def instance_from_dict(prop: str, data: dict):
 
 
 def _require_outside(block: TxSet, txs, what: str) -> None:
+    """Refuse an instance whose ``txs`` share an id with ``block``, the
+    base set they join."""
     if any(tx.tx_id in block for tx in txs):
         raise MalformedInstance(f"{what} must not be in the base set")
 
@@ -158,25 +160,21 @@ def _check_scheduling_monotonicity(mech: str, inst: PairInstance,
 
 def _check_set_inclusion(mech: str, inst: SetInclusionInstance,
                          env: PricingEnv) -> tuple:
-    sub_ids, sup_ids = inst.subset.ids, inst.superset.ids
-    if not sub_ids <= sup_ids:
+    if any(tx not in inst.superset for tx in inst.subset):
         raise MalformedInstance("subset must be contained in superset")
-    if sup_ids & inst.base.ids:
-        raise MalformedInstance("superset must be disjoint from the base set")
-    for tx_id in sub_ids:
-        if inst.subset.get(tx_id) != inst.superset.get(tx_id):
-            raise MalformedInstance("subset transactions must match superset")
+    _require_outside(inst.base, inst.superset, "superset")
     gas1 = env.block_gas(inst.base.with_txs(*inst.subset), inst.subset, mech)
     gas2 = env.block_gas(inst.base.with_txs(*inst.superset), inst.superset,
                          mech)
-    return gas1, gas2, dict(gas1=gas1, gas2=gas2), sub_ids != sup_ids
+    return (gas1, gas2, dict(gas1=gas1, gas2=gas2),
+            len(inst.superset) > len(inst.subset))
 
 
 def _check_bundling(mech: str, inst: BundlingInstance,
                     env: PricingEnv) -> tuple:
     tx1, tx2, tx3 = inst.tx1, inst.tx2, inst.bundled
     _require_outside(inst.base, (tx1, tx2, tx3), "tx1/tx2/bundled")
-    if tx3.time != tx1.time + tx2.time or tx3.keys != tx1.keys | tx2.keys:
+    if not similar(tx3, concatenate(tx1, tx2, tx3.tx_id)):
         raise MalformedInstance("bundled tx must be the concatenation")
     split_block = inst.base.with_txs(tx1, tx2)
     split = env.gas(split_block, tx1, mech) + env.gas(split_block, tx2, mech)
@@ -193,8 +191,8 @@ def _check_efficiency(mech: str, inst: EfficiencyInstance,
 
 def _check_estimation(mech: str, inst: EstimationInstance,
                       env: PricingEnv) -> tuple:
-    if inst.tx.tx_id in inst.block1 or inst.tx.tx_id in inst.block2:
-        raise MalformedInstance("tx must not be in either block")
+    for block in (inst.block1, inst.block2):
+        _require_outside(block, (inst.tx,), "tx")
     gas1 = env.gas(inst.block1.with_txs(inst.tx), inst.tx, mech)
     gas2 = env.gas(inst.block2.with_txs(inst.tx), inst.tx, mech)
     return gas1, gas2, dict(gas1=gas1, gas2=gas2), True

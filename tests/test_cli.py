@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from paragas import Schedule, TxSet, cli, make_transaction, render_block
 from paragas.cli import main
 from paragas.core import echo
+from paragas.gcm import TABLE_MECHANISMS
+from paragas.properties import PROPERTIES
 from paragas.sampling import SamplerConfig, sample_txset
 from paragas.scheduler import InvalidSchedule
 
@@ -196,10 +198,22 @@ def test_check_single_cell_pass_and_fixture_driven_cell(capsys):
 
 
 def test_check_unknown_names_exit_usage(capsys):
-    code, out = run(capsys, ["check", "--mech", "nope"])
-    assert code == 2
-    code, out = run(capsys, ["check", "--prop", "nope"])
-    assert code == 2
+    # `constant` is a mechanism, but not one of the comparison matrix.
+    for flag in ("--mech", "--prop"):
+        for value in ("nope", "constant"):
+            code, out = run(capsys, ["check", flag, value])
+            assert code == 2
+            assert out.out == ""
+            assert one_error_line(out.err)
+            assert f"argument {flag}: invalid choice: {value!r}" in out.err
+
+
+def test_check_help_lists_every_matrix_mechanism_and_property(capsys):
+    code, out = run(capsys, ["check", "--help"])
+    assert code == 0
+    listed = " ".join(out.out.split())  # the help wraps between names
+    assert "--mech MECH all, " + ", ".join(TABLE_MECHANISMS) in listed
+    assert "--prop PROP all, " + ", ".join(PROPERTIES) in listed
 
 
 def test_gas_unknown_mechanism_lists_the_choices(capsys, monkeypatch):
@@ -396,6 +410,18 @@ def test_a_refused_rational_names_where_it_came_from(tmp_path, capsys, argv,
     assert code == 2
     assert out.err == f"error: {named} is not a rational: {echo(value)}\n"
     assert len(out.err) < 200
+
+
+@pytest.mark.parametrize("doc", [[1, 2], 5, "k1", None])
+def test_a_weights_file_must_be_an_object(tmp_path, capsys, four_tx_block,
+                                          doc):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, ["gas", four_tx_block, "--mech", "weighted_area",
+                             "--weights", str(path)])
+    assert code == 2
+    assert out.out == ""
+    assert out.err == "error: weights file must be a JSON object\n"
 
 
 def test_weights_value_must_be_an_object(tmp_path, capsys):
@@ -618,7 +644,8 @@ def test_an_oversized_input_gives_a_short_error_line(tmp_path, capsys, argv,
 
 
 @pytest.mark.parametrize("argv", [
-    ["check", "--seed"], ["check", "--format"], ["simulate", "--seed"],
+    ["check", "--seed"], ["check", "--format"], ["check", "--mech"],
+    ["check", "--prop"], ["simulate", "--seed"],
     ["simulate", "--mech"], ["simulate", "--format"], ["gas", "--mech"],
     ["gas", "--format"], ["schedule", "--mode"], ["schedule", "--format"],
 ], ids="".join)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from paragas import (BlockError, DuplicateId, EmptyKeySet, MalformedDocument,
                      NonPositiveTime, NonPositiveWeight, Transaction, TxSet,
                      WeightTable, concatenate, format_rational,
-                     make_transaction, parse_block, render_block, similar,
-                     to_rational)
+                     make_transaction, parse_block, parse_weights,
+                     render_block, similar, to_rational)
 from paragas.core import (ECHO_CHARS, echo, over_lcm, txs_from_json,
                           txs_to_json)
 from paragas.properties import instance_from_dict
@@ -158,6 +158,29 @@ def test_parse_block_roundtrip():
 def test_parse_block_rejects_malformed(doc):
     with pytest.raises(MalformedDocument):
         parse_block(doc)
+
+
+@pytest.mark.parametrize("doc, weights, default", [
+    ({"weights": {"k1": "1/2"}, "default_weight": 3}, {"k1": "1/2"}, 3),
+    ({"k1": "1/2", "default_weight": 3}, {"k1": "1/2", "default_weight": 3},
+     1),
+    ({"default_weight": "5/2"}, {}, "5/2"),
+    ({}, {}, 1),
+], ids=["nested", "flat", "default-only", "empty"])
+def test_parse_weights_reads_the_nested_and_the_flat_form(doc, weights,
+                                                          default):
+    # An object of only "weights" and "default_weight" is the nested form,
+    # as a block's weights are written; any other object is a flat map, in
+    # which "default_weight" is just a key.
+    assert parse_weights(json.dumps(doc)) == WeightTable(weights, default)
+
+
+@pytest.mark.parametrize("doc", ["[1, 2]", "5", '"k1"', "null", "not json",
+                                 '{"k1": 1,', '{"k1": 1, "k1": 2}',
+                                 '{"weights": 5}'])
+def test_parse_weights_rejects_malformed(doc):
+    with pytest.raises(MalformedDocument):
+        parse_weights(doc)
 
 
 @pytest.mark.parametrize("entry", [

@@ -49,6 +49,23 @@ def test_only_core_turns_rationals_into_integers(path):
     assert not found, f"{path.name}: as_integer_ratio or lcm on lines {found}"
 
 
+def test_the_cli_parses_no_json_itself():
+    # core reads every JSON format; the CLI hands it the text it read, so a
+    # second reader of a format (say, the weights file) could not drift.
+    path = ROOT / "src" / "paragas" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = [node.lineno for node in ast.walk(tree)
+             if "load_json" in (getattr(node, "id", None),
+                                getattr(node, "attr", None))
+             or isinstance(node, ast.Attribute)
+             and node.attr in ("load", "loads")
+             and getattr(node.value, "id", None) == "json"
+             or isinstance(node, ast.ImportFrom)
+             and any(alias.name in ("load_json", "load", "loads")
+                     for alias in node.names)]
+    assert not found, f"cli.py: a JSON parser on lines {found}"
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_library_code_does_not_resolve_type_hints(path):
     # typing.get_type_hints resolves annotations through sys.modules; once

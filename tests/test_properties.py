@@ -177,6 +177,24 @@ def test_set_inclusion_instance_validation():
         TxSet([tx("x1", 1, ["k1"]), tx("x2", 1, ["k2"])]))
     with pytest.raises(MalformedInstance):
         check_property("set_inclusion", "current", mismatched, e)
+    # The superset joins the base, so no id may be in both, even for the
+    # same (time, keys).
+    overlapping = SetInclusionInstance(
+        TxSet([tx("x2", 1, ["k2"])]), TxSet([tx("x1", 1, ["k1"])]),
+        TxSet([tx("x1", 1, ["k1"]), tx("x2", 1, ["k2"])]))
+    with pytest.raises(MalformedInstance):
+        check_property("set_inclusion", "current", overlapping, e)
+
+
+@pytest.mark.parametrize("where", ["block1", "block2"])
+def test_estimation_instance_tx_must_be_outside_both_blocks(where):
+    x = tx("x", 1, ["k1"])
+    blocks = {"block1": TxSet([tx("a1", 1, ["k1"])]),
+              "block2": TxSet([tx("b1", 2, ["k2"])])}
+    blocks[where] = blocks[where].with_txs(x)
+    with pytest.raises(MalformedInstance):
+        check_property("easy_gas_estimation", "current",
+                       EstimationInstance(tx=x, **blocks), env2())
 
 
 def test_bundling_instance_must_be_concatenation():
